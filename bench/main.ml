@@ -58,7 +58,7 @@ let micro_tests () =
      instance for the two Space engines *)
   let rw3_prog = Cr_tokenring.Rw_atomicity.program n in
   let space_refine space () =
-    Cr_semantics.Compile_cache.bypass (fun () ->
+    Cr_guarded.Program.bypass_compile_cache (fun () ->
         Cr_core.Check_cache.bypass (fun () ->
             let c = Cr_guarded.Program.to_explicit ~space rw3_prog in
             let tab =
@@ -82,7 +82,7 @@ let micro_tests () =
     ( Normal,
       Test.make ~name:"E4-compile-btr-cold"
         (Staged.stage (fun () ->
-             Cr_semantics.Compile_cache.bypass (fun () ->
+             Cr_guarded.Program.bypass_compile_cache (fun () ->
                  ignore
                    (Cr_guarded.Program.to_explicit (Cr_tokenring.Btr.program n))))) );
     (* guaranteed miss: insert into an emptied cache every iteration *)
@@ -97,14 +97,14 @@ let micro_tests () =
     ( Normal,
       Test.make ~name:"compile-seq-dijkstra3-n7"
         (Staged.stage (fun () ->
-             Cr_semantics.Compile_cache.bypass (fun () ->
+             Cr_guarded.Program.bypass_compile_cache (fun () ->
                  ignore
                    (Cr_guarded.Program.to_explicit (Cr_tokenring.Btr3.dijkstra3 7))))) );
     ( Normal,
       Test.make ~name:"compile-par2-dijkstra3-n7"
         (Staged.stage (fun () ->
              Cr_kernel.Par.with_jobs 2 (fun () ->
-                 Cr_semantics.Compile_cache.bypass (fun () ->
+                 Cr_guarded.Program.bypass_compile_cache (fun () ->
                      ignore
                        (Cr_guarded.Program.to_explicit
                           (Cr_tokenring.Btr3.dijkstra3 7)))))) );
@@ -112,7 +112,7 @@ let micro_tests () =
       Test.make ~name:"compile-par4-dijkstra3-n7"
         (Staged.stage (fun () ->
              Cr_kernel.Par.with_jobs 4 (fun () ->
-                 Cr_semantics.Compile_cache.bypass (fun () ->
+                 Cr_guarded.Program.bypass_compile_cache (fun () ->
                      ignore
                        (Cr_guarded.Program.to_explicit
                           (Cr_tokenring.Btr3.dijkstra3 7)))))) );
@@ -131,14 +131,14 @@ let micro_tests () =
     ( Slow,
       Test.make ~name:"space-dense-compile-rw-n3"
         (Staged.stage (fun () ->
-             Cr_semantics.Compile_cache.bypass (fun () ->
+             Cr_guarded.Program.bypass_compile_cache (fun () ->
                  ignore
                    (Cr_guarded.Program.to_explicit
                       ~space:Cr_semantics.Space.Dense rw3_prog)))) );
     ( Normal,
       Test.make ~name:"space-sparse-compile-rw-n3"
         (Staged.stage (fun () ->
-             Cr_semantics.Compile_cache.bypass (fun () ->
+             Cr_guarded.Program.bypass_compile_cache (fun () ->
                  ignore
                    (Cr_guarded.Program.to_explicit
                       ~space:Cr_semantics.Space.Sparse rw3_prog)))) );

@@ -56,8 +56,9 @@ hits=$(sed -n 's/^ *compile\.cache\.hits *\([0-9][0-9]*\)$/\1/p' "$cachelog")
 
 # Verdict-cache smoke: the experiment tables ask the same refinement /
 # stabilization questions more than once, so the content-addressed
-# Check_cache must report hits — and disabling it with CR_CHECK_CACHE=0
-# must not change a single output byte.
+# verdict cache must report hits — and disabling every cache with
+# CR_CACHE=0, or rechecking every hit with CR_CACHE=paranoid, must not
+# change a single output byte.
 expout=$(mktemp /tmp/cr.exp.XXXXXX)
 expout0=$(mktemp /tmp/cr.exp0.XXXXXX)
 explog=$(mktemp /tmp/cr.explog.XXXXXX)
@@ -71,16 +72,18 @@ checkhits=$(sed -n 's/^ *check\.cache\.hits *\([0-9][0-9]*\)$/\1/p' "$explog")
   exit 1
 }
 # Byte-compare without CR_STATS: the stats cost appendix carries cache
-# counters that legitimately differ between the two runs.
+# counters that legitimately differ between the runs.
 CR_JOBS=2 dune exec bin/crcheck.exe -- experiments --max-n 3 \
   > "$expout" 2> /dev/null
-CR_JOBS=2 CR_CHECK_CACHE=0 dune exec bin/crcheck.exe -- experiments --max-n 3 \
-  > "$expout0" 2> /dev/null
-cmp -s "$expout" "$expout0" || {
-  echo "ci: verdicts differ between cached and CR_CHECK_CACHE=0 runs" >&2
-  diff "$expout" "$expout0" >&2 || true
-  exit 1
-}
+for mode in 0 paranoid; do
+  CR_JOBS=2 CR_CACHE=$mode dune exec bin/crcheck.exe -- experiments --max-n 3 \
+    > "$expout0" 2> /dev/null
+  cmp -s "$expout" "$expout0" || {
+    echo "ci: output differs between the default and CR_CACHE=$mode runs" >&2
+    diff "$expout" "$expout0" >&2 || true
+    exit 1
+  }
+done
 
 # Journal smoke: a CR_JOURNAL run must produce a lintable JSONL stream
 # that records the compile-cache traffic and the stabilize verdict —
@@ -136,7 +139,8 @@ cmp -s "$spdef" "$spsparse" || {
 
 # The sparse engine's reason to exist: an init-anchored query at a ring
 # size whose dense space (3^20 states) cannot be materialized at all.
-# refine reports failures (exit 1) — only exit > 1 or a hang fails CI.
+# Forced sparse, refine decides only ⊑_init (the whole-space relations
+# are reported as not decided); only exit > 1 or a hang fails CI.
 rc=0
 timeout 120 env CR_SPACE=sparse dune exec bin/crcheck.exe -- refine rw-dijkstra3 -n 6 > /dev/null 2>&1 || rc=$?
 [ "$rc" -le 1 ] || { echo "ci: sparse refine rw-dijkstra3 -n 6 failed (rc=$rc)" >&2; exit 1; }
@@ -174,5 +178,20 @@ if [ "${CI_BENCH:-0}" = "1" ]; then
   dune exec bin/trace_lint.exe -- --json-only BENCH_PR10.json
   dune exec bin/perfdiff.exe -- --gate 100 BENCH_PR9.json BENCH_PR10.json
 fi
+
+# End-to-end benchmark reference check: every workload's verdicts must
+# match the hand-written references (last stdout line "correct": true),
+# and a traced registry-mix run must repeat its exact counts (run.py
+# exits 4 otherwise).
+for w in refine-sparse refine-dense registry-mix; do
+  last=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+  case "$last" in
+    *'"correct": true'*) ;;
+    *) echo "ci: perfbench $w verdicts do not match the references" >&2
+       echo "$last" >&2
+       exit 1 ;;
+  esac
+done
+python3 perfbench/run.py --workload registry-mix --seed 1 --seconds 2 --trace 1 > /dev/null
 
 echo "ci: OK"

@@ -32,10 +32,12 @@ let stats_arg =
 let space_arg =
   let doc =
     "State-space engine for init-anchored compiles: $(b,sparse) \
-     (reachable fragment only, the default for refine), $(b,dense) \
-     (full product space) or $(b,auto) (each call site's default).  \
-     Equivalent to setting CR_SPACE; full-space checks (stabilization, \
-     whole-space lint facts) are dense by construction either way."
+     (reachable fragment only, the default for refine's init relation), \
+     $(b,dense) (full product space) or $(b,auto) (each call site's \
+     default).  Equivalent to setting CR_SPACE.  Full-space checks \
+     (stabilization, whole-space lint facts) are dense either way; \
+     refine's whole-space relations run dense, and are reported as not \
+     decided when sparse is forced."
   in
   Arg.(
     value
@@ -123,27 +125,35 @@ let refine name n stats space =
   if stats then Cr_obs.Obs.force_enable ();
   set_space space;
   with_entry name (fun e ->
-      (* the same compile the refinement reports index into: sparse by
-         default, so failure anchors resolve against the right graph *)
-      let ep = Cr_experiments.Registry.init_explicit e n in
-      let spec = Cr_experiments.Registry.spec_explicit e n in
       let reports = Cr_experiments.Registry.refinements e n in
       List.iter
         (fun (label, report) ->
-          pf "%-14s %a@." label Cr_core.Refine.pp_report report;
-          if stats then pp_cost label report.Cr_core.Refine.cost)
+          match report with
+          | Some report ->
+              pf "%-14s %a@." label Cr_core.Refine.pp_report report;
+              if stats then pp_cost label report.Cr_core.Refine.cost
+          | None -> pf "%-14s not decided on a reachable-only compile@." label)
         reports;
-      (* a verdict-cache hit: "convergence" was just computed above *)
-      let conv = List.assoc "convergence" reports in
-      let reach = Cr_checker.Reach.reachable_from_initial ep in
-      List.iter
-        (fun f ->
-          let anchor = Cr_core.Refine.failure_state f in
-          pf "  %a  [%s]@." (Cr_core.Refine.pp_failure ep spec) f
-            (if Cr_kernel.Bitset.get reach anchor then "reachable fault-free"
-             else "requires a fault to reach"))
-        conv.Cr_core.Refine.failures;
-      if conv.Cr_core.Refine.holds then 0 else 1)
+      match List.assoc "convergence" reports with
+      | None ->
+          (* CR_SPACE=sparse: only ⊑_init was decided *)
+          if (Option.get (List.assoc "init" reports)).Cr_core.Refine.holds
+          then 0
+          else 1
+      | Some conv ->
+          (* the dense compile the whole-space reports index into *)
+          let ep = Cr_experiments.Registry.explicit e n in
+          let spec = Cr_experiments.Registry.spec_explicit e n in
+          let reach = Cr_checker.Reach.reachable_from_initial ep in
+          List.iter
+            (fun f ->
+              let anchor = Cr_core.Refine.failure_state f in
+              pf "  %a  [%s]@." (Cr_core.Refine.pp_failure ep spec) f
+                (if Cr_kernel.Bitset.get reach anchor then
+                   "reachable fault-free"
+                 else "requires a fault to reach"))
+            conv.Cr_core.Refine.failures;
+          if conv.Cr_core.Refine.holds then 0 else 1)
 
 let refine_cmd =
   Cmd.v

@@ -32,20 +32,13 @@ let () =
 
   (* Premise 2 (implementation refines the spec): [C1 ⪯ BTR].  Note this
      uses only C1's transition system and the published mapping — not any
-     insight into why C1 works.  The premise is init-anchored, so the
-     sparse (reachable-only) engine suffices — at real ring sizes this is
-     what lets the premise be discharged without the full product space. *)
-  let c1_sparse =
-    Cr_guarded.Program.to_explicit ~space:Cr_semantics.Space.Sparse
-      (Cr_tokenring.Btr4.c1 n)
-  in
-  let alpha_sparse =
-    Cr_semantics.Abstraction.tabulate (Cr_tokenring.Btr4.alpha n) c1_sparse btr
-  in
-  let p2 =
-    Cr_core.Refine.convergence_refinement ~alpha:alpha_sparse ~c:c1_sparse
-      ~a:btr ()
-  in
+     insight into why C1 works.  Convergence refinement quantifies over
+     every state of C1 (the compressions it admits are exactly the
+     recovery moves from corrupted states), so it needs the dense compile;
+     a reachable-only compile would see only the fault-free orbit. *)
+  let c1 = Cr_guarded.Program.to_explicit (Cr_tokenring.Btr4.c1 n) in
+  let alpha = Cr_semantics.Abstraction.tabulate (Cr_tokenring.Btr4.alpha n) c1 btr in
+  let p2 = Cr_core.Refine.convergence_refinement ~alpha ~c:c1 ~a:btr () in
   pf "premise 2 — %a@." Cr_core.Refine.pp_report p2;
   pf "            (%d of C1's transitions compress multi-step BTR recovery)@.@."
     p2.Cr_core.Refine.stats.Cr_core.Refine.compressions;
@@ -57,10 +50,8 @@ let () =
   pf "premise 3 — W1' vacuous on all states: %b; W2' vacuous: %b@.@." w1_vac w2_vac;
 
   (* Conclusion (Theorem 5): C1 [] W' = C1 is stabilizing to BTR.
-     Stabilization quantifies over ALL states (recovery from arbitrary
-     corruption), so the conclusion needs the dense compile. *)
-  let c1 = Cr_guarded.Program.to_explicit (Cr_tokenring.Btr4.c1 n) in
-  let alpha = Cr_semantics.Abstraction.tabulate (Cr_tokenring.Btr4.alpha n) c1 btr in
+     Stabilization quantifies over ALL states too (recovery from arbitrary
+     corruption), so the conclusion reuses the dense compile. *)
   let concl = Cr_core.Stabilize.stabilizing_to ~alpha ~c:c1 ~a:btr () in
   pf "conclusion — %a@.@." Cr_core.Stabilize.pp_report concl;
 

@@ -1,5 +1,7 @@
 open Cr_semantics
 module Par = Cr_kernel.Par
+module Csr = Cr_kernel.Csr
+module Bitset = Cr_kernel.Bitset
 
 (* Refinement checkers (Section 2 of the paper), decided on explicit
    finite-state systems via edge classification.
@@ -27,6 +29,12 @@ module Par = Cr_kernel.Par
    The checks are sound: a "holds" verdict implies the trace-theoretic
    definition (matching A-paths concatenate into a computation of A, and
    maximality is preserved by the terminal conditions).
+
+   The relations come in two pairs that differ only in their anchor and
+   in their per-edge rule: ⊑_init / ⊑ check every considered edge for
+   exactness, anchored at I_C or not; ⪯ / ⊑_ee classify every edge, then
+   add init-refinement, a per-edge cycle rule, the stutter-cycle pass and
+   terminal matching.  Each pair is one function below.
 
    All sweeps run over the systems' flat CSR graphs (zero-copy views);
    the classification sweep is domain-chunked under the CR_JOBS contract
@@ -133,21 +141,36 @@ let failure_state = function
 
 let max_reported_failures = 10
 
-(* Classified edges of the concrete system, in [Explicit.iter_edges]
-   order, as flat parallel arrays (CSR-style): edge [k] is
-   [srcs.(k) -> dsts.(k)] with class [cls.(k)].  The slot of every edge
-   is its absolute CSR offset, which is what lets the chunked sweep fill
-   disjoint slices and still merge to a job-count-independent result. *)
-type classified = {
-  srcs : int array;
-  dsts : int array;
-  cls : edge_class option array;
-}
+(* Classified edges of the concrete system: its CSR graph plus one int
+   class code per edge, stored at the edge's absolute CSR offset (which
+   is what lets the chunked sweep fill disjoint slices and still merge
+   to a job-count-independent result).  Codes: -1 unmatched, 0 stutter,
+   1 exact, k >= 2 compression of length k. *)
+let code_unmatched = -1
+let code_stutter = 0
+let code_exact = 1
+
+type classified = { graph : Csr.t; codes : int array }
+
+let iter_codes t f =
+  let rp = Csr.row_ptr t.graph and tg = Csr.targets t.graph in
+  for i = 0 to Csr.num_states t.graph - 1 do
+    for k = rp.(i) to rp.(i + 1) - 1 do
+      f i tg.(k) t.codes.(k)
+    done
+  done
+
+let some_stutter = Some Stutter
+let some_exact = Some Exact
 
 let iter_classified t f =
-  for k = 0 to Array.length t.srcs - 1 do
-    f t.srcs.(k) t.dsts.(k) t.cls.(k)
-  done
+  iter_codes t (fun i j code ->
+      f i j
+        (match code with
+        | -1 -> None
+        | 0 -> some_stutter
+        | 1 -> some_exact
+        | len -> Some (Compression len)))
 
 (* Edge-class telemetry, published once per classify from the merged
    chunk totals (the sweep itself carries no instrumentation beyond the
@@ -165,227 +188,147 @@ let c_edges_compression = Cr_obs.Obs.counter "refine.edges.compression"
 let c_edges_unmatched = Cr_obs.Obs.counter "refine.edges.unmatched"
 let c_max_dropped = Cr_obs.Obs.counter ~kind:Cr_obs.Obs.Max "refine.max_dropped"
 
-(* Classify each edge of [c] against [a] through [alpha].
+(* Classify each edge of [c] against [a] through [alpha], in two phases
+   sharing ONE memoized shortest-path oracle:
 
-   The row-major sweep is split into contiguous state chunks — one
-   sweep for CR_JOBS = 1 (the plain sequential path), many more chunks
-   than domains otherwise, claimed from [Par]'s atomic item counter so
+   - phase A sweeps contiguous state chunks, classifying the stutter and
+     exact edges and recording the remaining (path-query) edges' offsets
+     per chunk;
+   - the oracle is preseeded with the pending sources
+     ([Paths.preseed_oracle] — each distinct source one parallel BFS
+     item, accounted exactly as the queries in sweep order would be);
+   - phase B resolves the pending edges with read-only memo lookups.
+
+   CR_JOBS = 1 is the one-chunk case.  Otherwise there are many more
+   chunks than domains, claimed from [Par]'s atomic item counter so
    edge-balanced stragglers stop serializing the fan-out.  Chunk
    boundaries are edge-balanced (binary search of the cumulative edge
-   count in [row_ptr]), every edge is written at its absolute CSR offset
-   into preallocated arrays, and per-chunk tallies are merged in chunk
-   order — so the classified arrays and stats are byte-identical for
-   every job count.
-
-   Shortest abstract paths are answered by a per-source memoized BFS
-   oracle.  The parallel path runs in two phases sharing ONE oracle:
-   phase A classifies the stutter/exact edges and records the pending
-   (path-query) edges per chunk; the oracle is then preseeded with the
-   pending sources ([Paths.preseed_oracle] — each distinct source one
-   parallel BFS item); phase B resolves the pending edges with read-only
-   memo lookups.  Chunks therefore never redo each other's BFS work, and
-   all the merged counters — the [refine.*] totals below and the
-   oracle's hit/miss and [paths.bfs.*] counters — are CR_JOBS-invariant
-   (the preseed accounting reproduces the sequential query order). *)
+   count in [row_ptr]), every edge is written at its absolute CSR
+   offset, and per-chunk tallies are merged in chunk order — so the
+   classified codes, the stats and every merged counter (the [refine.*]
+   totals below, the oracle's hit/miss and [paths.bfs.*] counters) are
+   identical for every job count. *)
 let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
     classified * stats =
   Cr_obs.Obs.span "refine.classify" @@ fun () ->
   let succ_a = Explicit.csr a in
   let g = Explicit.csr c in
-  let rp = Cr_kernel.Csr.row_ptr g and tg = Cr_kernel.Csr.targets g in
-  let arp = Cr_kernel.Csr.row_ptr succ_a
-  and atg = Cr_kernel.Csr.targets succ_a in
+  let rp = Csr.row_ptr g and tg = Csr.targets g in
+  let arp = Csr.row_ptr succ_a and atg = Csr.targets succ_a in
   let n = Explicit.num_states c in
-  let m = Cr_kernel.Csr.num_edges g in
-  let srcs = Array.make m 0 and dsts = Array.make m 0 in
-  let cls = Array.make m None in
-  let some_stutter = Some Stutter and some_exact = Some Exact in
-  (* Sweep rows [lo, hi), writing each edge at its absolute offset;
-     returns this chunk's tallies (edge count is implied by the range). *)
-  let sweep lo hi =
-    let t0 = if Cr_obs.Obs.tracking () then Cr_obs.Obs.now_us () else 0. in
-    let oracle = Cr_checker.Paths.make_oracle ~succ:succ_a in
-    let exact = ref 0 and stutter = ref 0 in
-    let compressions = ref 0 and max_dropped = ref 0 in
-    for i = lo to hi - 1 do
-      let klo = rp.(i) and khi = rp.(i + 1) in
-      if khi > klo then begin
-        (* the source image and its abstract row bounds are fixed per
-           row, so they are hoisted out of the inner edge loop *)
-        let ai = alpha.(i) in
-        let alo = arp.(ai) and ahi = arp.(ai + 1) in
-        for k = klo to khi - 1 do
-          let j = tg.(k) in
-          let aj = alpha.(j) in
-          let cl =
-            if ai = aj then some_stutter
-            else begin
-              (* binary search in the sorted abstract successor row *)
-              let slo = ref alo and shi = ref ahi in
-              while !shi - !slo > 1 do
-                let mid = (!slo + !shi) / 2 in
-                if atg.(mid) <= aj then slo := mid else shi := mid
-              done;
-              if !shi > !slo && atg.(!slo) = aj then some_exact
-              else
-                match
-                  Cr_checker.Paths.shortest_nonempty_memo oracle ~src:ai
-                    ~dst:aj
-                with
-                | Some len when len >= 2 -> Some (Compression len)
-                | Some _ | None -> None
-            end
-          in
-          (match cl with
-          | Some Stutter -> incr stutter
-          | Some Exact -> incr exact
-          | Some (Compression len) ->
-              incr compressions;
-              if len - 1 > !max_dropped then max_dropped := len - 1
-          | None -> ());
-          srcs.(k) <- i;
-          dsts.(k) <- j;
-          cls.(k) <- cl
-        done
-      end
-    done;
-    if Cr_obs.Obs.tracking () then
-      Cr_obs.Obs.observe h_chunk (int_of_float (Cr_obs.Obs.now_us () -. t0));
-    (!exact, !stutter, !compressions, !max_dropped)
-  in
-  (* Phase A of the parallel path: classify rows [lo, hi) like [sweep],
-     but record the path-query edges (class still unknown) in a pending
-     buffer instead of querying a chunk-local oracle.  Returns the
-     stutter/exact tallies and the pending edge offsets. *)
-  let sweep_collect lo hi =
+  let m = Csr.num_edges g in
+  let codes = Array.make m code_unmatched in
+  (* Phase A over rows [lo, hi): returns the exact/stutter tallies and
+     the pending edge offsets (ascending, so their sources can be
+     recovered by walking [row_ptr] alongside). *)
+  let sweep (lo, hi) =
     let t0 = if Cr_obs.Obs.tracking () then Cr_obs.Obs.now_us () else 0. in
     let exact = ref 0 and stutter = ref 0 in
     let pending = Array.make (rp.(hi) - rp.(lo)) 0 in
     let np = ref 0 in
     for i = lo to hi - 1 do
-      let klo = rp.(i) and khi = rp.(i + 1) in
-      if khi > klo then begin
-        let ai = alpha.(i) in
-        let alo = arp.(ai) and ahi = arp.(ai + 1) in
-        for k = klo to khi - 1 do
-          let j = tg.(k) in
-          let aj = alpha.(j) in
-          let cl =
-            if ai = aj then begin
-              incr stutter;
-              some_stutter
-            end
-            else begin
-              let slo = ref alo and shi = ref ahi in
-              while !shi - !slo > 1 do
-                let mid = (!slo + !shi) / 2 in
-                if atg.(mid) <= aj then slo := mid else shi := mid
-              done;
-              if !shi > !slo && atg.(!slo) = aj then begin
-                incr exact;
-                some_exact
-              end
-              else begin
-                pending.(!np) <- k;
-                incr np;
-                None
-              end
-            end
-          in
-          srcs.(k) <- i;
-          dsts.(k) <- j;
-          cls.(k) <- cl
-        done
-      end
+      (* the source image and its abstract row bounds are fixed per row *)
+      let ai = alpha.(i) in
+      let alo = arp.(ai) and ahi = arp.(ai + 1) in
+      for k = rp.(i) to rp.(i + 1) - 1 do
+        let aj = alpha.(tg.(k)) in
+        if ai = aj then begin
+          incr stutter;
+          codes.(k) <- code_stutter
+        end
+        else begin
+          (* binary search in the sorted abstract successor row *)
+          let slo = ref alo and shi = ref ahi in
+          while !shi - !slo > 1 do
+            let mid = (!slo + !shi) / 2 in
+            if atg.(mid) <= aj then slo := mid else shi := mid
+          done;
+          if !shi > !slo && atg.(!slo) = aj then begin
+            incr exact;
+            codes.(k) <- code_exact
+          end
+          else begin
+            pending.(!np) <- k;
+            incr np
+          end
+        end
+      done
     done;
     if Cr_obs.Obs.tracking () then
       Cr_obs.Obs.observe h_chunk (int_of_float (Cr_obs.Obs.now_us () -. t0));
-    (!exact, !stutter, Array.sub pending 0 !np)
+    (lo, !exact, !stutter, pending, !np)
+  in
+  (* [f i k] for each pending edge [k] of a chunk, [i] its source *)
+  let iter_pending (lo, _, _, pending, np) f =
+    let i = ref lo in
+    for p = 0 to np - 1 do
+      let k = pending.(p) in
+      while rp.(!i + 1) <= k do
+        incr i
+      done;
+      f !i k
+    done
   in
   (* Phase B: resolve one chunk's pending edges against the shared,
      preseeded oracle — pure memo reads, so the chunks can share it. *)
-  let resolve oracle (pending : int array) =
+  let resolve oracle chunk =
     let compressions = ref 0 and max_dropped = ref 0 in
-    Array.iter
-      (fun k ->
+    iter_pending chunk (fun i k ->
         match
-          Cr_checker.Paths.shortest_nonempty_seeded oracle
-            ~src:alpha.(srcs.(k)) ~dst:alpha.(dsts.(k))
+          Cr_checker.Paths.shortest_nonempty_seeded oracle ~src:alpha.(i)
+            ~dst:alpha.(tg.(k))
         with
         | Some len when len >= 2 ->
-            cls.(k) <- Some (Compression len);
+            codes.(k) <- len;
             incr compressions;
             if len - 1 > !max_dropped then max_dropped := len - 1
-        | Some _ | None -> ())
-      pending;
+        | Some _ | None -> ());
     (!compressions, !max_dropped)
   in
   let jobs = min (Par.current_jobs ()) (max n 1) in
-  let exact, stutter, compressions, max_dropped =
-    if jobs <= 1 then sweep 0 n
+  let num_chunks = if jobs <= 1 then 1 else max jobs (min n (jobs * 8)) in
+  (* Edge-balanced chunk boundaries: state index d covers edges up to
+     roughly d*m/num_chunks.  [row_ptr] is nondecreasing, so the
+     smallest state whose cumulative edge count reaches the quota is a
+     binary search; boundaries are nondecreasing by construction. *)
+  let boundary d =
+    if d = 0 then 0
+    else if d = num_chunks then n
     else begin
-      (* Many more chunks than domains: uneven chunks stop serializing
-         the sweep because idle domains claim the next chunk from the
-         pool's atomic item counter. *)
-      let num_chunks = max jobs (min (max n 1) (jobs * 8)) in
-      (* Edge-balanced chunk boundaries: state index d covers edges up
-         to roughly d*m/num_chunks.  [row_ptr] is nondecreasing, so the
-         smallest state whose cumulative edge count reaches the quota is
-         a binary search; boundaries are clamped nondecreasing by
-         construction. *)
-      let boundary d =
-        if d = 0 then 0
-        else if d = num_chunks then n
-        else begin
-          let want = d * m / num_chunks in
-          let lo = ref 0 and hi = ref n in
-          (* smallest i with rp.(i) >= want *)
-          while !hi - !lo > 0 do
-            let mid = (!lo + !hi) / 2 in
-            if rp.(mid) < want then lo := mid + 1 else hi := mid
-          done;
-          !lo
-        end
-      in
-      let chunks =
-        Array.init num_chunks (fun d -> (boundary d, boundary (d + 1)))
-      in
-      let parts = Par.map_array (fun (lo, hi) -> sweep_collect lo hi) chunks in
-      (* every pending query's source image, in chunk order — one entry
-         per query, so the preseed accounting matches the sequential
-         sweep exactly *)
-      let total_pending =
-        Array.fold_left (fun acc (_, _, p) -> acc + Array.length p) 0 parts
-      in
-      let sources = Array.make (max total_pending 1) 0 in
-      let w = ref 0 in
-      Array.iter
-        (fun (_, _, p) ->
-          Array.iter
-            (fun k ->
-              sources.(!w) <- alpha.(srcs.(k));
-              incr w)
-            p)
-        parts;
-      let oracle = Cr_checker.Paths.make_oracle ~succ:succ_a in
-      Cr_checker.Paths.preseed_oracle oracle
-        ~sources:(Array.sub sources 0 total_pending);
-      let resolved =
-        Par.map_array (fun (_, _, p) -> resolve oracle p) parts
-      in
-      (* deterministic merge in chunk order *)
-      let exact, stutter =
-        Array.fold_left
-          (fun (e, s) (e', s', _) -> (e + e', s + s'))
-          (0, 0) parts
-      in
-      let compressions, max_dropped =
-        Array.fold_left
-          (fun (cp, md) (cp', md') -> (cp + cp', max md md'))
-          (0, 0) resolved
-      in
-      (exact, stutter, compressions, max_dropped)
+      let want = d * m / num_chunks in
+      let lo = ref 0 and hi = ref n in
+      while !hi - !lo > 0 do
+        let mid = (!lo + !hi) / 2 in
+        if rp.(mid) < want then lo := mid + 1 else hi := mid
+      done;
+      !lo
     end
+  in
+  let chunks = Array.init num_chunks (fun d -> (boundary d, boundary (d + 1))) in
+  let parts = Par.map_array sweep chunks in
+  (* every pending query's source image, in chunk order — one entry per
+     query, so the preseed accounting matches the sweep order *)
+  let sources =
+    Array.make (Array.fold_left (fun acc (_, _, _, _, np) -> acc + np) 0 parts) 0
+  in
+  let w = ref 0 in
+  Array.iter
+    (fun part ->
+      iter_pending part (fun i _ ->
+          sources.(!w) <- alpha.(i);
+          incr w))
+    parts;
+  let oracle = Cr_checker.Paths.make_oracle ~succ:succ_a in
+  Cr_checker.Paths.preseed_oracle oracle ~sources;
+  let resolved = Par.map_array (resolve oracle) parts in
+  (* deterministic merge in chunk order *)
+  let exact, stutter =
+    Array.fold_left (fun (e, s) (_, e', s', _, _) -> (e + e', s + s')) (0, 0) parts
+  in
+  let compressions, max_dropped =
+    Array.fold_left
+      (fun (cp, md) (cp', md') -> (cp + cp', max md md'))
+      (0, 0) resolved
   in
   if Cr_obs.Obs.tracking () then begin
     Cr_obs.Obs.incr c_classify_runs;
@@ -395,29 +338,8 @@ let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
     Cr_obs.Obs.add c_edges_unmatched (m - exact - stutter - compressions);
     Cr_obs.Obs.record_max c_max_dropped max_dropped
   end;
-  ( { srcs; dsts; cls },
+  ( { graph = g; codes },
     { edges = m; exact; stutter; compressions; max_dropped } )
-
-(* CSR of the stutter edges alone, built flat by count-then-fill (rows
-   inherit the sorted order of the classified edges). *)
-let stutter_csr n (classified : classified) =
-  let row_ptr = Array.make (n + 1) 0 in
-  iter_classified classified (fun i _ cls ->
-      match cls with
-      | Some Stutter -> row_ptr.(i + 1) <- row_ptr.(i + 1) + 1
-      | _ -> ());
-  for i = 0 to n - 1 do
-    row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i)
-  done;
-  let targets = Array.make row_ptr.(n) 0 in
-  let fill = Array.copy row_ptr in
-  iter_classified classified (fun i j cls ->
-      match cls with
-      | Some Stutter ->
-          targets.(fill.(i)) <- j;
-          fill.(i) <- fill.(i) + 1
-      | _ -> ());
-  Cr_kernel.Csr.unsafe_of_raw ~row_ptr ~targets
 
 let initial_failures ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) =
   Array.to_list (Explicit.initials c)
@@ -426,12 +348,10 @@ let initial_failures ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) =
          else Some (Initial_not_initial i))
 
 let terminal_failures ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t)
-    ~(restrict : Cr_kernel.Bitset.t option) =
+    ~(restrict : Bitset.t option) =
   let n = Explicit.num_states c in
   let consider i =
-    match restrict with
-    | None -> true
-    | Some mask -> Cr_kernel.Bitset.get mask i
+    match restrict with None -> true | Some mask -> Bitset.get mask i
   in
   let acc = ref [] in
   for i = 0 to n - 1 do
@@ -445,13 +365,7 @@ let make_report ~relation ~c ~a ~stats failures =
   {
     holds = failures = [];
     stats;
-    failures =
-      (let rec take n = function
-         | [] -> []
-         | _ when n = 0 -> []
-         | x :: rest -> x :: take (n - 1) rest
-       in
-       take max_reported_failures failures);
+    failures = List.filteri (fun i _ -> i < max_reported_failures) failures;
     total_failures = List.length failures;
     concrete = Explicit.name c;
     abstract = Explicit.name a;
@@ -459,60 +373,34 @@ let make_report ~relation ~c ~a ~stats failures =
     cost = None;
   }
 
-(* Run one checker under a named span and attach the movement of this
-   domain's counters — plus the gc.* allocation delta of this domain —
-   to the verdict.  Both deltas are domain-local, so they are
-   deterministic even when sibling checks run on other domains (the GC
-   entries price only this domain's own allocations). *)
-let with_cost span_name f =
-  Cr_obs.Obs.span span_name @@ fun () ->
-  if not (Cr_obs.Obs.tracking ()) then f ()
-  else begin
-    let before = Cr_obs.Obs.domain_snapshot () in
-    let gc_before = Cr_obs.Obs.gc_now () in
-    let report = f () in
-    let gc_after = Cr_obs.Obs.gc_now () in
-    let after = Cr_obs.Obs.domain_snapshot () in
-    let cost =
-      Cr_obs.Obs.merge_snapshots
-        (Cr_obs.Obs.diff ~before ~after)
-        (Cr_obs.Obs.gc_cost_entries
-           (Cr_obs.Obs.gc_delta ~before:gc_before ~after:gc_after))
-    in
-    { report with cost = Some cost }
-  end
-
 (* Verdict cache shared by all four relations: the key covers the
    relation tag, both systems (names, exact transition structure,
    initial states), the resolved abstraction table and the fairness
    tables, so a hit can only return a report computed for an identical
-   question.  [CR_CHECK_CACHE=0] / [Check_cache.bypass] opt out;
-   [CR_CHECK_PARANOID=1] re-checks every hit. *)
+   question. *)
 let check_cache : report Check_cache.t = Check_cache.create ()
 
 let same_report r1 r2 = { r1 with cost = None } = { r2 with cost = None }
 
-let resolve_alpha ~c = function
-  | Some t -> t
-  | None -> Abstraction.identity_table (Explicit.num_states c)
-
-let cache_key ~relation ~alpha ~fair ~(c : _ Explicit.t) ~(a : _ Explicit.t) =
-  let fp = Check_cache.Fp.create () in
-  Check_cache.Fp.add_explicit fp c;
-  Check_cache.Fp.add_explicit fp a;
-  Check_cache.Fp.add_int_array fp alpha;
-  Check_cache.Fp.add_option_int_array_array fp fair;
-  Printf.sprintf "%s|%s|%s|%s" relation (Explicit.name c) (Explicit.name a)
-    (Check_cache.Fp.to_hex fp)
-
-(* One journal event per verdict delivered to a caller.  [cached] is
-   true when the report came out of the verdict cache without running
-   the checker (under CR_CHECK_PARANOID the paranoid re-check makes a
-   hit look fresh — the honest reading, since the work was done). *)
-let emit_verdict ~was_cached (r : report) =
-  if Cr_obs.Journal.enabled () then begin
-    let open Cr_obs.Journal in
-    let fields =
+(* Resolve the abstraction, answer from the verdict cache or run
+   [check alpha] under a named span with its cost attached, and journal
+   one event per verdict delivered to a caller. *)
+let decide ~relation ~span ?alpha ?fair ~(c : _ Explicit.t)
+    ~(a : _ Explicit.t) check =
+  let alpha =
+    match alpha with
+    | Some t -> t
+    | None -> Abstraction.identity_table (Explicit.num_states c)
+  in
+  let r, cached =
+    Check_cache.find_or_check check_cache ~tag:relation ~alpha ~fair ~c ~a
+      ~same:same_report (fun () ->
+        Cr_obs.Obs.span span @@ fun () ->
+        let r, cost = Cr_obs.Obs.measure (fun () -> check alpha) in
+        { r with cost })
+  in
+  Check_cache.emit_verdict "refine.verdict" ~cached ~cost:r.cost
+    Cr_obs.Journal.
       [
         ("relation", S r.relation);
         ("concrete", S r.concrete);
@@ -520,202 +408,119 @@ let emit_verdict ~was_cached (r : report) =
         ("holds", B r.holds);
         ("edges", I r.stats.edges);
         ("failures", I r.total_failures);
-        ("cached", B was_cached);
       ]
-    in
-    let fields =
-      match r.cost with
-      | Some snap -> fields @ [ ("cost", Snap snap) ]
-      | None -> fields
-    in
-    emit "refine.verdict" fields
-  end
-
-let cached ~relation ~alpha ~fair ~c ~a check =
-  let computed = ref false in
-  let check () =
-    computed := true;
-    check ()
-  in
-  let r =
-    if not (Check_cache.enabled ()) then check ()
-    else
-      Check_cache.find_or_check check_cache
-        ~key:(cache_key ~relation ~alpha ~fair ~c ~a)
-        ~same:same_report ~check
-  in
-  emit_verdict ~was_cached:(not !computed) r;
+    [];
   r
 
-(* [C ⊑ A]_init *)
-let init_refinement ?alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
-  let alpha = resolve_alpha ~c alpha in
-  cached ~relation:"⊑_init" ~alpha ~fair:None ~c ~a @@ fun () ->
-  with_cost "refine.init" @@ fun () ->
-  let reach = Cr_checker.Reach.reachable_from_initial c in
+(* ⊑_init and ⊑: every considered edge must be an A-transition, initial
+   images initial and terminal images terminal.  [anchored] considers
+   only the fragment reachable from I_C; otherwise every state. *)
+let exact_relation ~relation ~span ~anchored ?alpha ~c ~a () =
+  decide ~relation ~span ?alpha ~c ~a @@ fun alpha ->
+  let reach =
+    if anchored then Some (Cr_checker.Reach.reachable_from_initial c)
+    else None
+  in
   let failures = ref (initial_failures ~alpha ~c ~a) in
   let edges = ref 0 and exact = ref 0 in
   Explicit.iter_edges c (fun i j ->
-      if Cr_kernel.Bitset.get reach i then begin
+      if match reach with None -> true | Some r -> Bitset.get r i then begin
         incr edges;
         if Explicit.has_edge a alpha.(i) alpha.(j) then incr exact
         else failures := Init_edge_not_exact (i, j) :: !failures
       end);
-  let failures =
-    !failures @ terminal_failures ~alpha ~c ~a ~restrict:(Some reach)
-  in
+  let failures = !failures @ terminal_failures ~alpha ~c ~a ~restrict:reach in
   let stats = { empty_stats with edges = !edges; exact = !exact } in
-  make_report ~relation:"⊑_init" ~c ~a ~stats failures
+  make_report ~relation ~c ~a ~stats failures
+
+(* [C ⊑ A]_init *)
+let init_refinement ?alpha ~c ~a () =
+  exact_relation ~relation:"⊑_init" ~span:"refine.init" ~anchored:true ?alpha
+    ~c ~a ()
 
 (* [C ⊑ A] — everywhere refinement *)
-let everywhere_refinement ?alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
-  let alpha = resolve_alpha ~c alpha in
-  cached ~relation:"⊑" ~alpha ~fair:None ~c ~a @@ fun () ->
-  with_cost "refine.everywhere" @@ fun () ->
-  let failures = ref (initial_failures ~alpha ~c ~a) in
-  let edges = ref 0 and exact = ref 0 in
-  Explicit.iter_edges c (fun i j ->
-      incr edges;
-      if Explicit.has_edge a alpha.(i) alpha.(j) then incr exact
-      else failures := Init_edge_not_exact (i, j) :: !failures);
-  let failures = !failures @ terminal_failures ~alpha ~c ~a ~restrict:None in
-  let stats = { empty_stats with edges = !edges; exact = !exact } in
-  make_report ~relation:"⊑" ~c ~a ~stats failures
+let everywhere_refinement ?alpha ~c ~a () =
+  exact_relation ~relation:"⊑" ~span:"refine.everywhere" ~anchored:false
+    ?alpha ~c ~a ()
 
-(* [C ⪯ A] — convergence refinement.  With [?fair], "on a cycle" means
-   "on a weakly-fair cycle" (computations are restricted to weakly fair
-   ones; see {!Fair}). *)
-let convergence_refinement ?alpha ?fair ~(c : _ Explicit.t)
-    ~(a : _ Explicit.t) () =
-  let alpha = resolve_alpha ~c alpha in
-  cached ~relation:"⪯" ~alpha ~fair ~c ~a @@ fun () ->
-  with_cost "refine.convergence" @@ fun () ->
-  let classified, stats = classify ~alpha ~c ~a in
-  let n = Explicit.num_states c in
-  let succ_c = Explicit.csr c in
-  let edge_on_cycle =
-    match fair with
-    | None ->
-        (* computed on demand: only compression edges query it *)
-        let scc = lazy (Cr_checker.Scc.compute_csr succ_c) in
-        fun i j -> Cr_checker.Scc.edge_on_cycle (Lazy.force scc) i j
-    | Some tables ->
-        let analysis =
-          Fair.analyze_csr tables ~succ:succ_c
-            ~mask:(Cr_kernel.Bitset.full n)
-        in
-        fun i j -> Fair.edge_on_fair_cycle analysis i j
-  in
-  let failures = ref (initial_failures ~alpha ~c ~a) in
-  (* 1. Init refinement: reachable edges must be Exact.  The forward
-     reachability reuses [succ_c] — no adjacency rebuild. *)
-  Cr_obs.Obs.span "refine.init_check" (fun () ->
-      let reach =
-        Cr_checker.Reach.forward_csr ~succ:succ_c
-          ~seeds:(Array.to_list (Explicit.initials c))
+(* The on-cycle tests of [g] (edge, state).  With [?fair], "on a cycle"
+   means "on a weakly-fair cycle" (computations are restricted to
+   weakly fair ones; see {!Fair}).  The plain SCC is computed on demand:
+   only edges the per-edge rule asks about query it. *)
+let cycle_tests ~fair g =
+  match fair with
+  | None ->
+      let scc = lazy (Cr_checker.Scc.compute_csr g) in
+      ( (fun i j -> Cr_checker.Scc.edge_on_cycle (Lazy.force scc) i j),
+        fun i -> Cr_checker.Scc.on_cycle (Lazy.force scc) i )
+  | Some tables ->
+      let analysis =
+        Fair.analyze_csr tables ~succ:g ~mask:(Bitset.full (Csr.num_states g))
       in
-      iter_classified classified (fun i j cls ->
-          match cls with
-          | Some Exact -> ()
-          | _ ->
-              if Cr_kernel.Bitset.get reach i then
-                failures := Init_edge_not_exact (i, j) :: !failures));
-  (* 2. Global matching + finiteness of omissions. *)
+      ( (fun i j -> Fair.edge_on_fair_cycle analysis i j),
+        fun i -> analysis.Fair.fair.(i) )
+
+(* ⪯ and ⊑_ee: classify every edge; reachable edges must be Exact
+   (init-refinement); [rule] judges every edge everywhere; a cycle made
+   solely of Stutter edges needs an A-terminal image (an infinite
+   computation whose image is eventually constant normalizes to a finite
+   sequence, which must be able to end a computation of A); terminal
+   images must be terminal. *)
+let cycle_relation ~relation ~span ~rule ?alpha ?fair ~c ~a () =
+  decide ~relation ~span ?alpha ?fair ~c ~a @@ fun alpha ->
+  let classified, stats = classify ~alpha ~c ~a in
+  let succ_c = Explicit.csr c in
+  let edge_on_cycle, _ = cycle_tests ~fair succ_c in
+  let failures = ref (initial_failures ~alpha ~c ~a) in
+  let add f = failures := f :: !failures in
+  let reach =
+    Cr_obs.Obs.span "refine.init_check" @@ fun () ->
+    let reach =
+      Cr_checker.Reach.forward_csr ~succ:succ_c
+        ~seeds:(Array.to_list (Explicit.initials c))
+    in
+    iter_codes classified (fun i j code ->
+        if code <> code_exact && Bitset.get reach i then
+          add (Init_edge_not_exact (i, j)));
+    reach
+  in
   Cr_obs.Obs.span "refine.cycle_check" (fun () ->
-      iter_classified classified (fun i j cls ->
-          match cls with
-          | None -> failures := Edge_unmatched (i, j) :: !failures
-          | Some (Compression _) when edge_on_cycle i j ->
-              failures := Compression_on_cycle (i, j) :: !failures
-          | Some _ -> ()));
-  (* 3. Stutter-only cycles: an infinite computation of C whose image is
-     eventually constant normalizes to a finite sequence, so its (constant)
-     image must be able to end a computation of A, i.e. be A-terminal.
-     A system with no stutter edge has no such cycle — skip the pass. *)
+      iter_codes classified (fun i j code ->
+          Option.iter add
+            (rule ~edge_on_cycle ~reachable:(Bitset.get reach i) i j code)));
+  (* a system with no stutter edge has no stutter cycle — skip the pass *)
   (if stats.stutter > 0 then
      Cr_obs.Obs.span "refine.stutter_check" @@ fun () ->
-     let stutter_adj = stutter_csr n classified in
-     let on_stutter_cycle =
-       match fair with
-       | None ->
-           let stutter_scc = Cr_checker.Scc.compute_csr stutter_adj in
-           fun i -> Cr_checker.Scc.on_cycle stutter_scc i
-       | Some tables ->
-           let analysis =
-             Fair.analyze_csr tables ~succ:stutter_adj
-               ~mask:(Cr_kernel.Bitset.full n)
-           in
-           fun i -> analysis.Fair.fair.(i)
+     let _, on_stutter_cycle =
+       cycle_tests ~fair (Csr.filter succ_c (fun i j -> alpha.(i) = alpha.(j)))
      in
-     for i = 0 to n - 1 do
+     for i = 0 to Explicit.num_states c - 1 do
        if on_stutter_cycle i && not (Explicit.is_terminal a alpha.(i)) then
-         failures := Stutter_cycle i :: !failures
+         add (Stutter_cycle i)
      done);
-  (* 4. Terminal matching (everywhere). *)
   let failures = !failures @ terminal_failures ~alpha ~c ~a ~restrict:None in
-  make_report ~relation:"⪯" ~c ~a ~stats failures
+  make_report ~relation ~c ~a ~stats failures
+
+(* [C ⪯ A] — convergence refinement: every edge matches some A-path, and
+   no compression lies on a cycle (so omissions are finite). *)
+let convergence_refinement ?alpha ?fair ~c ~a () =
+  cycle_relation ~relation:"⪯" ~span:"refine.convergence"
+    ~rule:(fun ~edge_on_cycle ~reachable:_ i j code ->
+      if code = code_unmatched then Some (Edge_unmatched (i, j))
+      else if code >= 2 && edge_on_cycle i j then
+        Some (Compression_on_cycle (i, j))
+      else None)
+    ?alpha ?fair ~c ~a ()
 
 (* Everywhere-eventually refinement (Section 7): arbitrary finite prefix
-   followed by a computation of A.  Unlike convergence refinement, the
-   prefix is unconstrained (no per-edge matching against A), so only
-   edges that can recur forever matter: any non-Exact non-Stutter edge on
-   a cycle defeats the eventual suffix, as does an unbounded stutter with
-   a non-terminal image.  Init refinement is still required. *)
-let everywhere_eventually_refinement ?alpha ?fair ~(c : _ Explicit.t)
-    ~(a : _ Explicit.t) () =
-  let alpha = resolve_alpha ~c alpha in
-  cached ~relation:"⊑_ee" ~alpha ~fair ~c ~a @@ fun () ->
-  with_cost "refine.everywhere_eventually" @@ fun () ->
-  let classified, stats = classify ~alpha ~c ~a in
-  let n = Explicit.num_states c in
-  let succ_c = Explicit.csr c in
-  let edge_on_cycle =
-    match fair with
-    | None ->
-        (* computed on demand: only non-exact, non-stutter edges query it *)
-        let scc = lazy (Cr_checker.Scc.compute_csr succ_c) in
-        fun i j -> Cr_checker.Scc.edge_on_cycle (Lazy.force scc) i j
-    | Some tables ->
-        let analysis =
-          Fair.analyze_csr tables ~succ:succ_c
-            ~mask:(Cr_kernel.Bitset.full n)
-        in
-        fun i j -> Fair.edge_on_fair_cycle analysis i j
-  in
-  let failures = ref (initial_failures ~alpha ~c ~a) in
-  Cr_obs.Obs.span "refine.cycle_check" (fun () ->
-      let reach =
-        Cr_checker.Reach.forward_csr ~succ:succ_c
-          ~seeds:(Array.to_list (Explicit.initials c))
-      in
-      iter_classified classified (fun i j cls ->
-          let is_exact = match cls with Some Exact -> true | _ -> false in
-          if Cr_kernel.Bitset.get reach i && not is_exact then
-            failures := Init_edge_not_exact (i, j) :: !failures
-          else
-            match cls with
-            | Some Exact | Some Stutter -> ()
-            | Some (Compression _) | None ->
-                if edge_on_cycle i j then
-                  failures := Non_exact_on_cycle (i, j) :: !failures));
-  (if stats.stutter > 0 then
-     Cr_obs.Obs.span "refine.stutter_check" @@ fun () ->
-     let stutter_adj = stutter_csr n classified in
-     let on_stutter_cycle =
-       match fair with
-       | None ->
-           let stutter_scc = Cr_checker.Scc.compute_csr stutter_adj in
-           fun i -> Cr_checker.Scc.on_cycle stutter_scc i
-       | Some tables ->
-           let analysis =
-             Fair.analyze_csr tables ~succ:stutter_adj
-               ~mask:(Cr_kernel.Bitset.full n)
-           in
-           fun i -> analysis.Fair.fair.(i)
-     in
-     for i = 0 to n - 1 do
-       if on_stutter_cycle i && not (Explicit.is_terminal a alpha.(i)) then
-         failures := Stutter_cycle i :: !failures
-     done);
-  let failures = !failures @ terminal_failures ~alpha ~c ~a ~restrict:None in
-  make_report ~relation:"⊑_ee" ~c ~a ~stats failures
+   followed by a computation of A.  The prefix is unconstrained, so only
+   edges that can recur forever matter: a non-Exact non-Stutter edge on a
+   cycle defeats the eventual suffix (unless it already failed the init
+   check). *)
+let everywhere_eventually_refinement ?alpha ?fair ~c ~a () =
+  cycle_relation ~relation:"⊑_ee" ~span:"refine.everywhere_eventually"
+    ~rule:(fun ~edge_on_cycle ~reachable i j code ->
+      if code = code_exact || code = code_stutter || reachable then None
+      else if edge_on_cycle i j then Some (Non_exact_on_cycle (i, j))
+      else None)
+    ?alpha ?fair ~c ~a ()

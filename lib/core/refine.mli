@@ -11,10 +11,15 @@
     The checkers are sound: [holds = true] implies the trace-theoretic
     relation.
 
+    [⊑_init] quantifies over the computations from the initial states of
+    [c], so it may be decided on a reachable-only (sparse) compile.  [⊑],
+    [⪯] and [⊑_ee] quantify over every state of [c]: on a sparse compile
+    they decide only the reachable fragment, so pass a dense compile.
+
     Verdicts are memoized in a content-addressed {!Check_cache} keyed on
     the relation, both systems' exact structure, the abstraction and the
-    fairness tables — disable with [CR_CHECK_CACHE=0], audit with
-    [CR_CHECK_PARANOID=1].  The classification sweep is domain-chunked
+    fairness tables — disable with [CR_CACHE=0], audit every hit with
+    [CR_CACHE=paranoid].  The classification sweep is domain-chunked
     under [CR_JOBS] ({!Cr_kernel.Par}) with job-count-independent
     results. *)
 
@@ -71,24 +76,24 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
-type classified = {
-  srcs : int array;  (** edge sources, in [Explicit.iter_edges] order *)
-  dsts : int array;  (** edge destinations, parallel to [srcs] *)
-  cls : edge_class option array;
-      (** per-edge class; [None] marks an unmatched edge *)
-}
+type classified
+(** Every concrete transition with its class, in [Explicit.iter_edges]
+    order. *)
 
 val iter_classified : classified -> (int -> int -> edge_class option -> unit) -> unit
-(** Iterate the classified edges in order: [f src dst class]. *)
+(** Iterate the classified edges in order: [f src dst class]; [None]
+    marks an unmatched edge. *)
 
 val classify :
   alpha:int array ->
   c:'c Cr_semantics.Explicit.t ->
   a:'a Cr_semantics.Explicit.t ->
   classified * stats
-(** Classify every concrete transition against the abstract system, as
-    flat parallel arrays.  Shortest-path queries against the abstract
-    graph share one memoized BFS oracle per call. *)
+(** Classify every concrete transition against the abstract system.
+    Shortest-path queries against the abstract graph share one memoized
+    BFS oracle per call.  The sweep is domain-chunked under [CR_JOBS];
+    the result and every merged counter are the same for every job
+    count. *)
 
 val init_refinement :
   ?alpha:int array ->

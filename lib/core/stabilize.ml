@@ -128,12 +128,6 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
     match stutter with `Allow -> true | `Forbid -> false
   in
   let check () =
-    Cr_obs.Obs.span "stabilize.check" @@ fun () ->
-    let cost_before =
-      if Cr_obs.Obs.tracking () then
-        Some (Cr_obs.Obs.domain_snapshot (), Cr_obs.Obs.gc_now ())
-      else None
-    in
     let legit = Cr_checker.Reach.reachable_from_initial a in
     let n = Explicit.num_states c in
     let succ_c = Explicit.csr c in
@@ -165,39 +159,22 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
             end
           done
         in
+        (* more chunks than domains (claimed from the pool's atomic item
+           counter), each spanning whole 64-bit words; one chunk when
+           sequential *)
         let jobs = min (Par.current_jobs ()) (max n 1) in
-        if jobs <= 1 then sweep 0 n
-        else begin
-          (* more chunks than domains (claimed from the pool's atomic
-             item counter), each spanning whole 64-bit words *)
-          let nwords = (n + 63) / 64 in
-          let num_chunks = max 1 (min nwords (jobs * 8)) in
-          let boundary d = min n (d * nwords / num_chunks * 64) in
-          let chunks =
-            Array.init num_chunks (fun d -> (boundary d, boundary (d + 1)))
-          in
-          ignore
-            (Par.map_array (fun (lo, hi) -> sweep lo hi) chunks : unit array)
-        end);
+        let nwords = (n + 63) / 64 in
+        let num_chunks = if jobs <= 1 then 1 else max 1 (min nwords (jobs * 8)) in
+        let boundary d = min n (d * nwords / num_chunks * 64) in
+        let chunks =
+          Array.init num_chunks (fun d -> (boundary d, boundary (d + 1)))
+        in
+        ignore (Par.map_array (fun (lo, hi) -> sweep lo hi) chunks : unit array));
     (if stutter_ok then begin
        (* pure-stutter cycles must sit at an [a]-terminal image *)
-       let srow_ptr = Array.make (n + 1) 0 in
-       Explicit.iter_edges c (fun i j ->
-           if alpha.(i) = alpha.(j) then
-             srow_ptr.(i + 1) <- srow_ptr.(i + 1) + 1);
-       for i = 0 to n - 1 do
-         srow_ptr.(i + 1) <- srow_ptr.(i + 1) + srow_ptr.(i)
-       done;
-       let stargets = Array.make srow_ptr.(n) 0 in
-       let fill = Array.copy srow_ptr in
-       Explicit.iter_edges c (fun i j ->
-           if alpha.(i) = alpha.(j) then begin
-             stargets.(fill.(i)) <- j;
-             fill.(i) <- fill.(i) + 1
-           end);
        let sscc =
          Cr_checker.Scc.compute_csr
-           (Cr_kernel.Csr.unsafe_of_raw ~row_ptr:srow_ptr ~targets:stargets)
+           (Cr_kernel.Csr.filter succ_c (fun i j -> alpha.(i) = alpha.(j)))
        in
        for i = 0 to n - 1 do
          if Cr_checker.Scc.on_cycle sscc i
@@ -287,65 +264,30 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
       bad_cycle = cycle;
       bad_terminal = terminal_outside;
       good_mask = Cr_kernel.Bitset.to_bool_array good;
-      cost =
-        Option.map
-          (fun (before, gc_before) ->
-            (* counter movement plus gc.* allocation delta, both
-               domain-local (see [Refine.with_cost]) *)
-            Cr_obs.Obs.merge_snapshots
-              (Cr_obs.Obs.diff ~before ~after:(Cr_obs.Obs.domain_snapshot ()))
-              (Cr_obs.Obs.gc_cost_entries
-                 (Cr_obs.Obs.gc_delta ~before:gc_before
-                    ~after:(Cr_obs.Obs.gc_now ()))))
-          cost_before;
+      cost = None;
     }
   in
-  let computed = ref false in
-  let check () =
-    computed := true;
-    check ()
+  let r, cached =
+    Check_cache.find_or_check check_cache ~tag:"stab"
+      ~extra:(if stutter_ok then 1 else 0)
+      ~alpha ~fair ~c ~a ~same:same_report (fun () ->
+        Cr_obs.Obs.span "stabilize.check" @@ fun () ->
+        let r, cost = Cr_obs.Obs.measure check in
+        { r with cost })
   in
-  let r =
-    if not (Check_cache.enabled ()) then check ()
-    else begin
-      let fp = Check_cache.Fp.create () in
-      Check_cache.Fp.add_explicit fp c;
-      Check_cache.Fp.add_explicit fp a;
-      Check_cache.Fp.add_int_array fp alpha;
-      Check_cache.Fp.add_option_int_array_array fp fair;
-      Check_cache.Fp.add_int fp (if stutter_ok then 1 else 0);
-      let key =
-        Printf.sprintf "stab|%s|%s|%s" (Explicit.name c) (Explicit.name a)
-          (Check_cache.Fp.to_hex fp)
-      in
-      Check_cache.find_or_check check_cache ~key ~same:same_report ~check
-    end
-  in
-  (if Cr_obs.Journal.enabled () then begin
-     let open Cr_obs.Journal in
-     let fields =
-       [
-         ("concrete", S r.concrete);
-         ("abstract", S r.abstract);
-         ("holds", B r.holds);
-         ("states", I r.states);
-         ("legitimate", I r.legitimate);
-         ("good", I r.good);
-         ("cached", B (not !computed));
-       ]
-     in
-     let fields =
-       match r.worst_case_recovery with
-       | Some w -> fields @ [ ("worst_case_recovery", I w) ]
-       | None -> fields
-     in
-     let fields =
-       match r.cost with
-       | Some snap -> fields @ [ ("cost", Snap snap) ]
-       | None -> fields
-     in
-     emit "stabilize.verdict" fields
-   end);
+  Check_cache.emit_verdict "stabilize.verdict" ~cached ~cost:r.cost
+    Cr_obs.Journal.
+      [
+        ("concrete", S r.concrete);
+        ("abstract", S r.abstract);
+        ("holds", B r.holds);
+        ("states", I r.states);
+        ("legitimate", I r.legitimate);
+        ("good", I r.good);
+      ]
+    (match r.worst_case_recovery with
+    | Some w -> [ ("worst_case_recovery", Cr_obs.Journal.I w) ]
+    | None -> []);
   r
 
 (* Self-stabilization: A is stabilizing to A. *)

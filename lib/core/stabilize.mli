@@ -5,8 +5,8 @@
     state of [A].
 
     Verdicts are memoized in a content-addressed {!Check_cache}
-    ([CR_CHECK_CACHE=0] disables, [CR_CHECK_PARANOID=1] audits every
-    hit); the bad-seed sweep is domain-chunked under [CR_JOBS] with a
+    ([CR_CACHE=0] disables, [CR_CACHE=paranoid] audits every hit); the
+    bad-seed sweep is domain-chunked under [CR_JOBS] with a
     job-count-independent result. *)
 
 type report = {

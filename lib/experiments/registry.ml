@@ -159,13 +159,13 @@ let names () = List.map (fun e -> e.name) entries
 let explicit e n = Program.to_explicit (e.program n)
 
 (* Init-anchored compile of an entry: the reachable-fragment (sparse)
-   engine unless CR_SPACE forces one.  Everything the refinement
-   checkers quantify over lives in the fragment reachable from the
-   initial states, so refine verdicts computed here agree with the
-   dense engine restricted to that fragment — and the concrete systems'
-   legitimate orbits are a vanishing fraction of their product spaces,
-   which is what lets refine run at ring sizes the dense compile cannot
-   materialize. *)
+   engine unless CR_SPACE forces one.  ⊑_init only quantifies over
+   computations from the initial states, which live in the reachable
+   fragment, so its verdict here agrees with the dense engine — and the
+   concrete systems' legitimate orbits are a vanishing fraction of their
+   product spaces, which is what lets ⊑_init run at ring sizes the dense
+   compile cannot materialize.  The whole-space relations (⊑, ⪯, ⊑_ee)
+   quantify over every state and must not be decided here. *)
 let init_explicit e n =
   Program.to_explicit
     ~space:(Cr_semantics.Space.resolve ~default:Cr_semantics.Space.Sparse ())
@@ -187,12 +187,37 @@ let stabilization ?fair e n =
   let alpha = Cr_semantics.Abstraction.tabulate (e.alpha n) ep spec in
   Cr_core.Stabilize.stabilizing_to ~alpha ?fair ~c:ep ~a:spec ()
 
+(* ⊑_init on the init-anchored compile; ⊑, ⪯ and ⊑_ee on the dense
+   compile, or not at all when CR_SPACE forces the sparse engine. *)
 let refinements e n =
-  let ep = init_explicit e n and spec = spec_explicit e n in
-  let alpha = Cr_semantics.Abstraction.tabulate (e.alpha n) ep spec in
+  let spec = spec_explicit e n in
+  let tab c = Cr_semantics.Abstraction.tabulate (e.alpha n) c spec in
+  let init =
+    let c = init_explicit e n in
+    Cr_core.Refine.init_refinement ~alpha:(tab c) ~c ~a:spec ()
+  in
+  let whole =
+    match Cr_semantics.Space.resolve ~default:Cr_semantics.Space.Dense () with
+    | Cr_semantics.Space.Sparse -> None
+    | Cr_semantics.Space.Dense ->
+        let c = explicit e n in
+        Some (c, tab c)
+  in
+  let decide f = Option.map (fun (c, alpha) -> f ~alpha ~c) whole in
+  (* in this order: list literals evaluate right to left *)
+  let everywhere =
+    decide (fun ~alpha ~c -> Cr_core.Refine.everywhere_refinement ~alpha ~c ~a:spec ())
+  in
+  let convergence =
+    decide (fun ~alpha ~c -> Cr_core.Refine.convergence_refinement ~alpha ~c ~a:spec ())
+  in
+  let ee =
+    decide (fun ~alpha ~c ->
+        Cr_core.Refine.everywhere_eventually_refinement ~alpha ~c ~a:spec ())
+  in
   [
-    ("init", Cr_core.Refine.init_refinement ~alpha ~c:ep ~a:spec ());
-    ("everywhere", Cr_core.Refine.everywhere_refinement ~alpha ~c:ep ~a:spec ());
-    ("convergence", Cr_core.Refine.convergence_refinement ~alpha ~c:ep ~a:spec ());
-    ("ee", Cr_core.Refine.everywhere_eventually_refinement ~alpha ~c:ep ~a:spec ());
+    ("init", Some init);
+    ("everywhere", everywhere);
+    ("convergence", convergence);
+    ("ee", ee);
   ]

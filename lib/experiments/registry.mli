@@ -27,10 +27,10 @@ val explicit : entry -> int -> Layout.state Cr_semantics.Explicit.t
 val init_explicit : entry -> int -> Layout.state Cr_semantics.Explicit.t
 (** The entry's program compiled through the init-anchored (sparse,
     reachable-only) engine — {!Cr_semantics.Space.resolve} with default
-    [Sparse], so [CR_SPACE] can force either engine.  This is what
-    {!refinements} checks against: per DESIGN.md section 2 the
-    refinement premise only quantifies over the fragment reachable from
-    the initial states, which the sparse engine materializes exactly. *)
+    [Sparse], so [CR_SPACE] can force either engine.  {!refinements}
+    decides [⊑_init] on it: that relation only quantifies over
+    computations from the initial states, which the sparse engine
+    materializes exactly (DESIGN.md section 2). *)
 
 val spec_explicit : entry -> int -> Layout.state Cr_semantics.Explicit.t
 (** Same for the entry's specification (always dense: the abstract
@@ -46,10 +46,11 @@ val stabilization :
     process-wide {!Cr_core.Check_cache}: every driver asking the same
     registry question shares one computed verdict. *)
 
-val refinements : entry -> int -> (string * Cr_core.Refine.report) list
+val refinements :
+  entry -> int -> (string * Cr_core.Refine.report option) list
 (** The four refinement relations ("init" / "everywhere" / "convergence"
     / "ee") for the entry at ring size [n], through the same cache.
-    The concrete system is compiled with {!init_explicit}, so under the
-    default (sparse) engine the relations quantify over the
-    init-reachable fragment — the graybox premise of DESIGN.md
-    section 2.  [CR_SPACE=dense] restores full-space quantification. *)
+    [⊑_init] is decided on {!init_explicit}.  [⊑], [⪯] and [⊑_ee]
+    quantify over every state, so they are decided on the dense compile
+    ({!explicit}); when [CR_SPACE] forces the sparse engine they are
+    [None] — not decided on a reachable-only compile. *)

@@ -416,12 +416,7 @@ let compile_sparse ~mode t ~seed_ranks:seeds =
    structural part below. *)
 let probe_budget = 256
 
-(* Two independent FNV-1a-style folds over native ints: 126 bits of
-   accumulated probe state, no allocation per step.  Native-int
-   multiplication wraps silently, which is exactly what a rolling hash
-   wants. *)
-let fnv1 = 0x100000001b3
-let fnv2 = 0x27d4eb2f165667c5
+module Fp = Cr_kernel.Memo.Fp
 
 (* Semantic probe: fold the complete firing observations — per sampled
    state, per action in order, the successor's rank (or a disabled
@@ -437,34 +432,31 @@ let probe ~mode t =
   let n = Layout.num_states layout in
   let budget = min n probe_budget in
   let name = mode_name ~mode t in
-  let h1 = ref 0x3bf29ce484222325 and h2 = ref 0x1e3779b97f4a7c15 in
-  let fold x =
-    h1 := (!h1 lxor x) * fnv1;
-    h2 := (!h2 lxor x) * fnv2
-  in
+  let fp = Fp.create () in
   (match mode with
   | Sync ->
       for k = 0 to budget - 1 do
         let i = k * n / budget in
-        fold i;
+        Fp.add_int fp i;
         match synchronous_step t (Layout.unrank layout i) with
-        | None -> fold (-2)
-        | Some s' -> fold (rank_checked ~name layout s')
+        | None -> Fp.add_int fp (-2)
+        | Some s' -> Fp.add_int fp (rank_checked ~name layout s')
       done
   | Plain | Priority _ ->
       let actions = Array.of_list t.actions in
       for k = 0 to budget - 1 do
         let i = k * n / budget in
         let s = Layout.unrank layout i in
-        fold i;
+        Fp.add_int fp i;
         Array.iter
           (fun (a : Action.t) ->
-            if a.Action.guard s then
-              fold (rank_checked ~name layout (a.Action.effect s))
-            else fold (-1))
+            Fp.add_int fp
+              (if a.Action.guard s then
+                 rank_checked ~name layout (a.Action.effect s)
+               else -1))
           actions
       done);
-  (!h1, !h2)
+  Fp.to_hex fp
 
 (* Content-addressed cache key: execution mode, layout (variable names
    and domain sizes), per-action metadata (label, owning process,
@@ -473,8 +465,8 @@ let probe ~mode t =
    different guards or effects.  The initial-state predicate is
    deliberately NOT part of the key: a cached graph is re-targeted via
    [Explicit.with_initials] on every hit.  (The probe is a 126-bit
-   rolling hash, not the exact rows; CR_COMPILE_PARANOID=1 turns every
-   hit into a checked recompile for the paranoid.) *)
+   rolling hash, not the exact rows; CR_CACHE=paranoid turns every hit
+   into a checked recompile.) *)
 let fingerprint ~mode t =
   let layout = t.layout in
   let buf = Buffer.create 256 in
@@ -498,70 +490,84 @@ let fingerprint ~mode t =
            | Priority bits when bits.(i) -> ";W"
            | _ -> "")))
     t.actions;
-  let p1, p2 = probe ~mode t in
-  Buffer.add_string buf (Printf.sprintf "|%x.%x" p1 p2);
+  Buffer.add_char buf '|';
+  Buffer.add_string buf (probe ~mode t);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+let mode_of ?priority_of t =
+  match priority_of with
+  | None -> Plain
+  | Some is_wrapper -> Priority (Array.of_list (List.map is_wrapper t.actions))
+
 let compile_fingerprint ?priority_of t =
-  let mode =
-    match priority_of with
-    | None -> Plain
-    | Some is_wrapper ->
-        Priority (Array.of_list (List.map is_wrapper t.actions))
-  in
-  fingerprint ~mode t
+  fingerprint ~mode:(mode_of ?priority_of t) t
 
-let compile_cache : Layout.state Cr_semantics.Compile_cache.t =
-  Cr_semantics.Compile_cache.create ()
+let compile_group = Cr_kernel.Memo.group "compile.cache"
 
-let clear_compile_cache () = Cr_semantics.Compile_cache.clear compile_cache
+let compile_cache : Layout.state Cr_semantics.Explicit.t Cr_kernel.Memo.t =
+  Cr_kernel.Memo.create compile_group
+
+let clear_compile_cache () = Cr_kernel.Memo.clear compile_cache
+let bypass_compile_cache f = Cr_kernel.Memo.bypass compile_group f
+
+(* Equality of a re-targeted hit with a fresh compile (paranoid mode):
+   same transitions and the same initial states. *)
+let same_compile cached fresh =
+  Cr_semantics.Explicit.same_transitions fresh cached
+  && Cr_semantics.Explicit.initials fresh
+     = Cr_semantics.Explicit.initials cached
 
 (* Cache keys carry the engine: a dense and a sparse compile of the
    same program must never alias (their graphs are different objects).
    The sparse key additionally folds the seed-rank set — a sparse graph
    depends on where its BFS starts, so programs that share a structural
    fingerprint but differ in initial states get distinct sparse entries,
-   while dense entries keep being shared and re-targeted via [reinit]. *)
-let sparse_key ~mode t seeds =
-  let h1 = ref 0x3bf29ce484222325 and h2 = ref 0x1e3779b97f4a7c15 in
-  Array.iter
-    (fun r ->
-      h1 := (!h1 lxor r) * fnv1;
-      h2 := (!h2 lxor r) * fnv2)
-    seeds;
-  Printf.sprintf "%s|space:sparse:%d:%x.%x" (fingerprint ~mode t)
-    (Array.length seeds) !h1 !h2
-
+   while dense entries keep being shared and re-targeted on a hit. *)
 let compile ~mode ~space t =
-  let reinit e =
+  let key, fresh =
+    match (space : Space.engine) with
+    | Space.Dense ->
+        ( lazy (fingerprint ~mode t ^ "|space:dense"),
+          fun () -> compile_fresh ~mode t )
+    | Space.Sparse ->
+        let seeds = seed_ranks t in
+        ( lazy
+            (let fp = Fp.create () in
+             Fp.add_int_array fp seeds;
+             fingerprint ~mode t ^ "|space:sparse:" ^ Fp.to_hex fp),
+          fun () -> compile_sparse ~mode t ~seed_ranks:seeds )
+  in
+  (* every fresh compile (a miss, a disabled cache, a paranoid recheck)
+     is bracketed by compile.start / compile.finish *)
+  let compute () =
+    if not (Cr_obs.Journal.enabled ()) then fresh ()
+    else begin
+      let key = Cr_obs.Journal.S (Lazy.force key) in
+      Cr_obs.Journal.emit "compile.start" [ ("key", key) ];
+      let t0 = Cr_obs.Obs.now_us () in
+      let e = fresh () in
+      Cr_obs.Journal.emit "compile.finish"
+        [
+          ("key", key);
+          ("states", Cr_obs.Journal.I (Cr_semantics.Explicit.num_states e));
+          ( "transitions",
+            Cr_obs.Journal.I (Cr_semantics.Explicit.num_transitions e) );
+          ("wall_us", Cr_obs.Journal.F (Cr_obs.Obs.now_us () -. t0));
+        ];
+      e
+    end
+  in
+  let on_hit e =
     Cr_semantics.Explicit.with_initials
       (Cr_semantics.Explicit.rename (mode_name ~mode t) e)
       t.initial
   in
-  match (space : Space.engine) with
-  | Space.Dense ->
-      let compile = fun () -> compile_fresh ~mode t in
-      if not (Cr_semantics.Compile_cache.enabled ()) then compile ()
-      else
-        Cr_semantics.Compile_cache.find_or_compile compile_cache
-          ~key:(fingerprint ~mode t ^ "|space:dense")
-          ~reinit ~compile
-  | Space.Sparse ->
-      let seeds = seed_ranks t in
-      let compile = fun () -> compile_sparse ~mode t ~seed_ranks:seeds in
-      if not (Cr_semantics.Compile_cache.enabled ()) then compile ()
-      else
-        Cr_semantics.Compile_cache.find_or_compile compile_cache
-          ~key:(sparse_key ~mode t seeds) ~reinit ~compile
+  Cr_kernel.Memo.find_or_compute compile_cache
+    ~key:(fun () -> Lazy.force key)
+    ~on_hit ~same:same_compile compute
 
 let to_explicit ?priority_of ?(space = Space.Dense) t =
-  let mode =
-    match priority_of with
-    | None -> Plain
-    | Some is_wrapper ->
-        Priority (Array.of_list (List.map is_wrapper t.actions))
-  in
-  compile ~mode ~space t
+  compile ~mode:(mode_of ?priority_of t) ~space t
 
 let to_explicit_synchronous ?(space = Space.Dense) t = compile ~mode:Sync ~space t
 

@@ -64,9 +64,10 @@ val to_explicit :
     space through the layout's mixed-radix rank/unrank; [Sparse]
     materializes only the fragment reachable from the initial states
     (frontier BFS hash-consing dense ranks into a compact index) —
-    sound for every init-anchored query because the fragment is closed
-    under successors, and the scaling move for refine/graybox checks
-    whose dense space will not fit.  Callers that honour the [CR_SPACE]
+    sound for init-anchored queries ([⊑_init]) because the fragment is
+    closed under successors, and the scaling move for them when the
+    dense space will not fit.  Whole-space relations ([⊑], [⪯],
+    [⊑_ee], stabilization) need the dense graph.  Callers that honour the [CR_SPACE]
     override resolve it via {!Cr_semantics.Space.resolve}; this
     function itself never reads the environment.
 
@@ -75,24 +76,29 @@ val to_explicit :
     domain-chunked under the [CR_JOBS] contract of {!Cr_kernel.Par} —
     identical output for every job count.
 
-    Compiles are memoized in a process-wide
-    {!Cr_semantics.Compile_cache} keyed by a content-addressed
+    Compiles are memoized in a process-wide {!Cr_kernel.Memo} table
+    (counters [compile.cache.*]) keyed by a content-addressed
     fingerprint (execution mode, layout, per-action metadata, and a
     semantic successor probe over up to 256 evenly spread states) plus
     an engine tag, so dense and sparse graphs can never alias; the
     sparse key also folds the seed-rank set, since a sparse graph
-    depends on its BFS roots.  On a dense hit the cached graph is
-    re-targeted to this program's name and initial predicate.
-    [CR_COMPILE_CACHE=0] disables the cache. *)
+    depends on its BFS roots.  On a hit the cached graph is re-targeted
+    to this program's name and initial predicate.  [CR_CACHE=0]
+    disables the cache; [CR_CACHE=paranoid] recompiles on every hit and
+    raises unless the transitions and initial states agree. *)
 
 val compile_fingerprint : ?priority_of:(Action.t -> bool) -> t -> string
-(** The content-addressed cache key {!to_explicit} would use for this
-    program (diagnostics and tests): a digest of the execution mode,
-    layout, action metadata and the semantic successor probe. *)
+(** The structural part of the cache key {!to_explicit} would use for
+    this program (diagnostics and tests): a digest of the execution
+    mode, layout, action metadata and the semantic successor probe. *)
 
 val clear_compile_cache : unit -> unit
 (** Empty the process-wide compile cache (tests and benchmarks that need
     cold-compile behaviour or counter isolation). *)
+
+val bypass_compile_cache : (unit -> 'a) -> 'a
+(** Run with the compile cache disabled in the calling domain
+    (benchmarks and tests that need a guaranteed fresh compile). *)
 
 val synchronous_step : t -> state -> state option
 (** One synchronous (distributed-daemon) step: every process with an

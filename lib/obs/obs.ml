@@ -473,6 +473,23 @@ let gc_cost_entries (g : gc_cost) : snapshot =
 let merge_snapshots (a : snapshot) (b : snapshot) : snapshot =
   List.sort (fun (x, _) (y, _) -> String.compare x y) (a @ b)
 
+(* Counter movement plus the gc.* allocation delta of [f], both
+   domain-local, so they are deterministic even when sibling work runs
+   on other domains. *)
+let measure f =
+  if not (tracking ()) then (f (), None)
+  else begin
+    let before = domain_snapshot () in
+    let gc_before = gc_now () in
+    let r = f () in
+    let gc_after = gc_now () in
+    let after = domain_snapshot () in
+    ( r,
+      Some
+        (merge_snapshots (diff ~before ~after)
+           (gc_cost_entries (gc_delta ~before:gc_before ~after:gc_after))) )
+  end
+
 let reset () =
   Mutex.protect lock (fun () ->
       List.iter

@@ -146,6 +146,11 @@ val merge_snapshots : snapshot -> snapshot -> snapshot
 (** Concatenate and re-sort by name (for mixing counter movement with
     [gc.*] entries in one cost snapshot). *)
 
+val measure : (unit -> 'a) -> 'a * snapshot option
+(** [measure f] runs [f] and, while {!tracking}, also returns the
+    movement of the calling domain's counters merged with its [gc.*]
+    allocation delta — the cost snapshot checkers attach to verdicts. *)
+
 val reset : unit -> unit
 (** Zero all counters and drop all spans (test support). *)
 

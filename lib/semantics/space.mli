@@ -10,11 +10,14 @@
       discovered by a frontier BFS ({!discover}) that hash-conses each
       state under its dense rank into a compact index.
 
-    Full-space checks (stabilization bad-seed sweeps, whole-space lint
-    facts) are dense by construction; init-anchored queries (the
-    refinement premise of the graybox theorems, DESIGN.md section 2)
-    only ever look at the reachable fragment and default to sparse.
-    [CR_SPACE=dense|sparse|auto] overrides the per-call default. *)
+    Whole-space checks (stabilization bad-seed sweeps, the [⊑], [⪯] and
+    [⊑_ee] refinement relations, whole-space lint facts) quantify over
+    every state and need the dense engine.  Init-anchored queries
+    ([⊑_init], DESIGN.md section 2) only ever look at the reachable
+    fragment and default to sparse.  [CR_SPACE=dense|sparse|auto]
+    overrides the per-call default; a caller that cannot decide a
+    whole-space relation on a forced sparse compile says so instead of
+    answering on the fragment. *)
 
 type engine = Dense | Sparse
 

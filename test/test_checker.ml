@@ -263,32 +263,75 @@ let explicit_of_adj name adj inits =
     ~is_initial:(fun s -> List.mem s inits)
     ~succ_lists:(Array.map Array.to_list adj)
 
+(* A random concrete/abstract pair with a salted alpha table. *)
+let gen_classify_case =
+  QCheck2.Gen.(triple gen_graph gen_graph (int_bound 1000))
+
+let classify_case (gc, ga, salt) =
+  let c = explicit_of_adj "C" (adj_of gc) [ 0 ] in
+  let a_rows = adj_of ga in
+  let a = explicit_of_adj "A" a_rows [ 0 ] in
+  let nc = Cr_semantics.Explicit.num_states c in
+  let na = Cr_semantics.Explicit.num_states a in
+  let alpha = Array.init nc (fun i -> (i * 31 + salt) mod na) in
+  (c, a, a_rows, alpha)
+
+(* [Refine.classify] under a forced CR_JOBS, flattened to the edge list
+   [(src, dst, class)] in iteration order, plus its stats. *)
+let classify_with_jobs jobs ~alpha ~c ~a =
+  Unix.putenv "CR_JOBS" (string_of_int jobs);
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "CR_JOBS" "1")
+    (fun () ->
+      let cl, stats = Cr_core.Refine.classify ~alpha ~c ~a in
+      let edges = ref [] in
+      Cr_core.Refine.iter_classified cl (fun i j k -> edges := (i, j, k) :: !edges);
+      (List.rev !edges, stats))
+
 let prop_classify_jobs_invariant =
   QCheck2.Test.make ~name:"classify invariant under CR_JOBS in {1,2,4}"
-    ~count:60
-    QCheck2.Gen.(triple gen_graph gen_graph (int_bound 1000))
-    (fun (gc, ga, salt) ->
-      let c = explicit_of_adj "C" (adj_of gc) [ 0 ] in
-      let a = explicit_of_adj "A" (adj_of ga) [ 0 ] in
-      let nc = Cr_semantics.Explicit.num_states c in
-      let na = Cr_semantics.Explicit.num_states a in
-      let alpha = Array.init nc (fun i -> (i * 31 + salt) mod na) in
-      let run jobs =
-        Unix.putenv "CR_JOBS" (string_of_int jobs);
-        Fun.protect
-          ~finally:(fun () -> Unix.putenv "CR_JOBS" "1")
-          (fun () -> Cr_core.Refine.classify ~alpha ~c ~a)
-      in
-      let (cl1, st1) = run 1 in
-      let (cl2, st2) = run 2 in
-      let (cl4, st4) = run 4 in
-      let same (x, sx) (y, sy) =
-        x.Cr_core.Refine.srcs = y.Cr_core.Refine.srcs
-        && x.Cr_core.Refine.dsts = y.Cr_core.Refine.dsts
-        && x.Cr_core.Refine.cls = y.Cr_core.Refine.cls
-        && sx = sy
-      in
-      same (cl1, st1) (cl2, st2) && same (cl1, st1) (cl4, st4))
+    ~count:60 gen_classify_case
+    (fun case ->
+      let c, a, _, alpha = classify_case case in
+      let r1 = classify_with_jobs 1 ~alpha ~c ~a in
+      r1 = classify_with_jobs 2 ~alpha ~c ~a
+      && r1 = classify_with_jobs 4 ~alpha ~c ~a)
+
+(* Independent oracle: classify every edge directly — image equality,
+   then [Explicit.has_edge], then the row-reference BFS
+   [Paths.shortest_nonempty] — and tally the stats by hand. *)
+let prop_classify_matches_oracle =
+  QCheck2.Test.make ~name:"classify matches a per-edge reference oracle"
+    ~count:100 gen_classify_case
+    (fun case ->
+      let c, a, a_rows, alpha = classify_case case in
+      let open Cr_core.Refine in
+      let expected = ref [] in
+      let stats = ref { edges = 0; exact = 0; stutter = 0; compressions = 0; max_dropped = 0 } in
+      Cr_semantics.Explicit.iter_edges c (fun i j ->
+          let ai = alpha.(i) and aj = alpha.(j) in
+          let s = !stats in
+          let cls, s =
+            if ai = aj then (Some Stutter, { s with stutter = s.stutter + 1 })
+            else if Cr_semantics.Explicit.has_edge a ai aj then
+              (Some Exact, { s with exact = s.exact + 1 })
+            else
+              match Cr_checker.Paths.shortest_nonempty ~succ:a_rows ~src:ai ~dst:aj with
+              | Some len when len >= 2 ->
+                  ( Some (Compression len),
+                    {
+                      s with
+                      compressions = s.compressions + 1;
+                      max_dropped = max s.max_dropped (len - 1);
+                    } )
+              | Some _ | None -> (None, s)
+          in
+          stats := { s with edges = s.edges + 1 };
+          expected := (i, j, cls) :: !expected);
+      let expected = (List.rev !expected, !stats) in
+      List.for_all
+        (fun jobs -> classify_with_jobs jobs ~alpha ~c ~a = expected)
+        [ 1; 2; 4 ])
 
 (* The CR_JOBS fan-out must be observationally invisible: the full report
    at N = 2..4 prints the same bytes whether computed sequentially or on
@@ -338,6 +381,7 @@ let qcheck_cases =
       prop_csr_paths_agree;
       prop_csr_fair_agree;
       prop_classify_jobs_invariant;
+      prop_classify_matches_oracle;
     ]
 
 let () =

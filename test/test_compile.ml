@@ -1,12 +1,16 @@
 (* Tests of the chunked, memoized explicit compiler: domain-chunked
    [Program.to_explicit] must be byte-identical to the sequential path
    for every execution mode, the compile cache must be transparent
-   (including under CR_COMPILE_PARANOID and when disabled), and
-   predecessor rows must stay lazy until a backward query needs them. *)
+   (hits share and re-target the graph, warm hits never alias), and
+   predecessor rows must stay lazy until a backward query needs them.
+   The memo itself (bypass, CR_CACHE, paranoid mode, clear) is tested
+   in test_memo.ml; the CR_CACHE cases here check the compile cache's
+   own wiring (its counters, its re-targeting [same]).  Their case
+   names keep the variables CR_CACHE replaced, so test ids stay
+   stable. *)
 
 open Cr_guarded
 module E = Cr_semantics.Explicit
-module Cache = Cr_semantics.Compile_cache
 module Par = Cr_kernel.Par
 module Obs = Cr_obs.Obs
 
@@ -63,7 +67,7 @@ let build { doms; acts } =
 let same a b = E.same_transitions a b && E.initials a = E.initials b
 
 let fresh_with_jobs jobs f =
-  Cache.bypass (fun () -> Par.with_jobs jobs (fun () -> f ()))
+  Program.bypass_compile_cache (fun () -> Par.with_jobs jobs (fun () -> f ()))
 
 (* ---- chunked compilation is byte-identical to sequential ---- *)
 
@@ -98,7 +102,7 @@ let test_env_jobs () =
   let p = Cr_tokenring.Btr3.dijkstra3 4 in
   let seq = fresh_with_jobs 1 (fun () -> Program.to_explicit p) in
   Unix.putenv "CR_JOBS" "4";
-  let par = Cache.bypass (fun () -> Program.to_explicit p) in
+  let par = Program.bypass_compile_cache (fun () -> Program.to_explicit p) in
   Unix.putenv "CR_JOBS" "1";
   Alcotest.(check bool) "CR_JOBS=4 graph equals sequential" true (same seq par)
 
@@ -149,11 +153,13 @@ let test_cache_retargets_initials () =
     (expected_initials eq (fun s -> s.(0) = 1)
     && E.initials ep <> E.initials eq)
 
+(* CR_CACHE=paranoid: every hit recompiles and compares the re-targeted
+   cached graph with the fresh one through Program's [same]. *)
 let test_cache_paranoid () =
   Program.clear_compile_cache ();
-  Unix.putenv "CR_COMPILE_PARANOID" "1";
+  Unix.putenv "CR_CACHE" "paranoid";
   Fun.protect
-    ~finally:(fun () -> Unix.putenv "CR_COMPILE_PARANOID" "")
+    ~finally:(fun () -> Unix.putenv "CR_CACHE" "")
     (fun () ->
       let e1 = Program.to_explicit (Cr_tokenring.Btr3.dijkstra3 3) in
       (* hit: paranoid mode recompiles and asserts equality — must not
@@ -163,9 +169,9 @@ let test_cache_paranoid () =
 
 let test_cache_disabled () =
   Program.clear_compile_cache ();
-  Unix.putenv "CR_COMPILE_CACHE" "0";
+  Unix.putenv "CR_CACHE" "0";
   Fun.protect
-    ~finally:(fun () -> Unix.putenv "CR_COMPILE_CACHE" "")
+    ~finally:(fun () -> Unix.putenv "CR_CACHE" "")
     (fun () ->
       let (e1, e2), snap =
         with_counters (fun () ->
@@ -211,7 +217,7 @@ let prop_cache_never_aliases =
 
 let test_lazy_pred () =
   let e =
-    Cache.bypass (fun () -> Program.to_explicit (Cr_tokenring.Btr3.dijkstra3 3))
+    Program.bypass_compile_cache (fun () -> Program.to_explicit (Cr_tokenring.Btr3.dijkstra3 3))
   in
   Alcotest.(check bool) "pred not forced by compile" false (E.pred_forced e);
   ignore (E.successors e 0);

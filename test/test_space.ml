@@ -17,7 +17,7 @@ let compile ~space e n = Program.to_explicit ~space (e.Registry.program n)
 
 (* Fresh compile, no cache, with the job count forced. *)
 let fresh ~space ~jobs e n =
-  Compile_cache.bypass @@ fun () ->
+  Program.bypass_compile_cache @@ fun () ->
   Cr_kernel.Par.with_jobs jobs @@ fun () -> compile ~space e n
 
 (* Keep the dense side of each comparison small: the point of sparse is
@@ -178,6 +178,42 @@ let test_jobs_invariance () =
             [ 2; 4 ])
     [ ("dijkstra3", 3); ("rw-dijkstra3", 3); ("kstate", 4); ("c2-wrapped", 3) ]
 
+(* Registry.refinements decides the whole-space relations on the dense
+   compile: a reachable-only graph would hide every unreachable failure
+   (EXPERIMENTS E9: Lemma 12 is refuted at every N) and every
+   unreachable compression (E5: 384 edges, 176 compressions at N = 4). *)
+let registry_refinements name n =
+  match Registry.find name with
+  | None -> Alcotest.failf "no registry entry %s" name
+  | Some e -> Registry.refinements e n
+
+let decided reports rel =
+  match List.assoc rel reports with
+  | Some r -> r
+  | None -> Alcotest.failf "%s not decided" rel
+
+let test_c3_convergence_fails () =
+  let reports = registry_refinements "c3" 3 in
+  Alcotest.(check bool) "[C3 ⊑_init BTR] holds" true (decided reports "init").Refine.holds;
+  Alcotest.(check bool) "[C3 ⪯ BTR] fails" false (decided reports "convergence").Refine.holds
+
+let test_c1_convergence_compresses () =
+  let conv = decided (registry_refinements "c1" 4) "convergence" in
+  Alcotest.(check bool) "[C1 ⪯ BTR] holds" true conv.Refine.holds;
+  Alcotest.(check int) "edges" 384 conv.Refine.stats.Refine.edges;
+  Alcotest.(check int) "compressions" 176 conv.Refine.stats.Refine.compressions
+
+let test_forced_sparse_undecided () =
+  Unix.putenv "CR_SPACE" "sparse";
+  let reports =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "CR_SPACE" "")
+      (fun () -> registry_refinements "c3" 3)
+  in
+  Alcotest.(check (list string))
+    "only init decided" [ "init" ]
+    (List.filter_map (fun (rel, r) -> Option.map (fun _ -> rel) r) reports)
+
 let test_choice_parse () =
   let open Space in
   let check s expect =
@@ -207,5 +243,14 @@ let () =
       ("agreement", per_case test_agreement "fragment");
       ("alpha", per_case test_alpha "alpha");
       ("refine", per_case test_refine "verdicts");
+      ( "registry",
+        [
+          Alcotest.test_case "c3 n=3 convergence fails (E9)" `Quick
+            test_c3_convergence_fails;
+          Alcotest.test_case "c1 n=4 convergence compresses (E5)" `Quick
+            test_c1_convergence_compresses;
+          Alcotest.test_case "forced sparse: whole-space undecided" `Quick
+            test_forced_sparse_undecided;
+        ] );
       ("jobs", [ Alcotest.test_case "CR_JOBS byte-invariance" `Quick test_jobs_invariance ]);
     ]
