@@ -145,6 +145,33 @@ rc=0
 timeout 120 env CR_SPACE=sparse dune exec bin/crcheck.exe -- refine rw-dijkstra3 -n 6 > /dev/null 2>&1 || rc=$?
 [ "$rc" -le 1 ] || { echo "ci: sparse refine rw-dijkstra3 -n 6 failed (rc=$rc)" >&2; exit 1; }
 
+# Engine agreement on a closure-initialised program: rw-dijkstra3's
+# initial states are the reachability closure of its canonical
+# configuration.  The dense engine reads that closure through the
+# initial predicate over all of Sigma (3^11 states at N=3); the sparse
+# engine seeds its BFS from the closure's sorted ranks.  The ⊑_init line
+# (verdict and failure count) must be the same under both; exit 1 is
+# the expected (failing) verdict, > 1 is a crash.
+refout=$(mktemp /tmp/cr.refine.XXXXXX)
+trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog" "$expout" "$expout0" "$explog" "$journal" "$jout1" "$jout4" "$spdef" "$spsparse" "$refout"' EXIT
+init_sparse=
+for sp in sparse dense; do
+  rc=0
+  CR_SPACE=$sp dune exec bin/crcheck.exe -- refine rw-dijkstra3 --ring 3 \
+    > "$refout" 2> /dev/null || rc=$?
+  [ "$rc" -le 1 ] || { echo "ci: CR_SPACE=$sp refine rw-dijkstra3 -n 3 crashed (rc=$rc)" >&2; exit 1; }
+  line=$(grep '^init ' "$refout") || {
+    echo "ci: CR_SPACE=$sp refine rw-dijkstra3 -n 3 printed no ⊑_init line" >&2
+    exit 1
+  }
+  if [ "$sp" = sparse ]; then init_sparse=$line; fi
+done
+[ "$init_sparse" = "$line" ] || {
+  echo "ci: ⊑_init of rw-dijkstra3 -n 3 differs between the engines:" >&2
+  printf 'sparse: %s\ndense:  %s\n' "$init_sparse" "$line" >&2
+  exit 1
+}
+
 # The committed benchmark artifacts must stay well-formed JSON.
 dune exec bin/trace_lint.exe -- --json-only BENCH_PR4.json
 dune exec bin/trace_lint.exe -- --json-only BENCH_PR6.json

@@ -5,16 +5,25 @@ module Space = Cr_semantics.Space
 
 type state = Layout.state
 
+(* A reachability closure.  Members inside Sigma are keyed by their
+   dense rank; the few that lie outside it cannot be ranked and sit in a
+   state-keyed side table. *)
+type closure = {
+  ranks : (int, unit) Hashtbl.t;
+  sorted : int array;  (* the keys of [ranks], ascending *)
+  escaped : (state, unit) Hashtbl.t;
+}
+
 type t = {
   name : string;
   layout : Layout.t;
   actions : Action.t list;
   initial : state -> bool;
-  (* Enumerator of the complete initial-state set, when one is known
-     without scanning Sigma (set by [with_initial_closure]).  The sparse
-     compile engine seeds its BFS from it; [None] falls back to a
-     full-space predicate scan. *)
-  init_enum : (unit -> state list) option;
+  (* The closure that defines the initial states, when they were set by
+     [with_initial_closure].  The sparse compile engine seeds its BFS
+     from its sorted ranks; [None] falls back to a full-space predicate
+     scan. *)
+  init_enum : closure Lazy.t option;
 }
 
 let make ~name ~layout ~actions ~initial =
@@ -361,26 +370,18 @@ let step_keys ~mode t () =
    the sparse engine, and part of its cache key (a sparse graph depends
    on where discovery starts; dense graphs are initial-independent and
    get re-targeted on every hit instead).  Programs built by
-   [with_initial_closure] enumerate their initial set directly; anything
-   else pays one allocation-free predicate scan over Sigma. *)
+   [with_initial_closure] hand over their closure's sorted ranks;
+   anything else pays one allocation-free predicate scan over Sigma. *)
 let seed_ranks t =
-  let layout = t.layout in
   match t.init_enum with
-  | Some enum ->
-      let ranks =
-        List.rev_map
-          (fun s ->
-            let r = Layout.checked_rank layout s in
-            if r < 0 then
-              invalid_arg
-                (Printf.sprintf "%s: initial state outside Sigma" t.name)
-            else r)
-          (enum ())
-      in
-      Array.of_list (List.sort_uniq compare ranks)
+  | Some c ->
+      let c = Lazy.force c in
+      if Hashtbl.length c.escaped > 0 then
+        invalid_arg (Printf.sprintf "%s: initial state outside Sigma" t.name);
+      c.sorted
   | None ->
       let acc = ref [] and count = ref 0 in
-      Layout.iter_states layout (fun r s ->
+      Layout.iter_states t.layout (fun r s ->
           if t.initial s then begin
             acc := r :: !acc;
             incr count
@@ -574,32 +575,70 @@ let to_explicit_synchronous ?(space = Space.Dense) t = compile ~mode:Sync ~space
 (* Reachability closure at the program level, used to define the initial
    states of concrete systems as the orbit of canonical legitimate
    configurations (the paper's "initial states follow from those of BTR
-   using the mapping"). *)
-let reachable_from t seeds =
-  let seen : (state, unit) Hashtbl.t = Hashtbl.create 1024 in
+   using the mapping").  One BFS serves [reachable_from] and
+   [with_initial_closure].  It keys members by dense rank because the
+   generic [Hashtbl.hash] reads only the first 10 slots of an array: on
+   a wide layout whose moving slots lie past slot 9, a state-keyed table
+   collapses into a few long chains.  Successors come from a direct
+   action loop (guard, effect, the no-op test of [Action.fire]).  A
+   successor outside Sigma goes to the side table and is expanded like
+   any other member, so the closure is exactly the set reachable under
+   [step]. *)
+let closure t seeds =
+  let layout = t.layout in
+  let actions = Array.of_list t.actions in
+  let ranks = Hashtbl.create 1024 and escaped = Hashtbl.create 8 in
   let queue = Queue.create () in
   let push s =
-    if not (Hashtbl.mem seen s) then begin
-      Hashtbl.replace seen s ();
+    let r = Layout.checked_rank layout s in
+    if r >= 0 then begin
+      if not (Hashtbl.mem ranks r) then begin
+        Hashtbl.add ranks r ();
+        Queue.push s queue
+      end
+    end
+    else if not (Hashtbl.mem escaped s) then begin
+      Hashtbl.add escaped s ();
       Queue.push s queue
     end
   in
   List.iter push seeds;
   while not (Queue.is_empty queue) do
     let s = Queue.pop queue in
-    List.iter push (step t s)
+    Array.iter
+      (fun (a : Action.t) ->
+        if a.Action.guard s then begin
+          let s' = a.Action.effect s in
+          if s' <> s then push s'
+        end)
+      actions
   done;
+  let sorted = Array.of_seq (Hashtbl.to_seq_keys ranks) in
+  Array.sort Int.compare sorted;
+  { ranks; sorted; escaped }
+
+(* The state-keyed view, sized up front so every [Hashtbl.add] is a
+   plain cons with no chain walk and no resize. *)
+let reachable_from t seeds =
+  let c = closure t seeds in
+  let seen : (state, unit) Hashtbl.t =
+    Hashtbl.create (Array.length c.sorted + Hashtbl.length c.escaped)
+  in
+  Array.iter (fun r -> Hashtbl.add seen (Layout.unrank t.layout r) ()) c.sorted;
+  Hashtbl.iter (fun s () -> Hashtbl.add seen s ()) c.escaped;
   seen
 
 let with_initial_closure ~seeds t =
-  let closure = lazy (reachable_from t seeds) in
+  let c = lazy (closure t seeds) in
+  let layout = t.layout in
   {
     t with
-    initial = (fun s -> Hashtbl.mem (Lazy.force closure) s);
-    init_enum =
-      Some
-        (fun () ->
-          Hashtbl.fold (fun s () acc -> s :: acc) (Lazy.force closure) []);
+    initial =
+      (fun s ->
+        let c = Lazy.force c in
+        let r = Layout.checked_rank layout s in
+        if r >= 0 then Hashtbl.mem c.ranks r else Hashtbl.mem c.escaped s);
+    init_enum = Some c;
   }
 
 let pp fmt t =

@@ -115,13 +115,33 @@ val to_explicit_synchronous :
     two semantics of one program distinct). *)
 
 val reachable_from : t -> state list -> (state, unit) Hashtbl.t
-(** All states reachable from the seeds under the program's transitions. *)
+(** All states reachable from the seeds under the program's transitions
+    (the closure of {!step}, including states outside Sigma).
+
+    The closure itself is computed by one BFS shared with
+    {!with_initial_closure}: states inside Sigma are keyed by
+    {!Layout.checked_rank}, so wide states are never hashed as arrays;
+    successors that leave Sigma cannot be ranked and go to a small
+    state-keyed side table, and are expanded like any other member.
+    The returned table is then filled with plain [Hashtbl.add]s.
+
+    Warning: it is a generic [Hashtbl], and the generic hash reads only
+    the first 10 slots of a state.  On layouts wider than that whose
+    moving slots lie past slot 9 (rw-dijkstra3 at N=8 puts its 26,496
+    reachable states into 51 hash values), [Hashtbl.mem] on it walks
+    long chains.  Iterating it is fine; for membership tests use
+    {!initial} of a {!with_initial_closure} program instead. *)
 
 val with_initial_closure : seeds:state list -> t -> t
 (** Replace the initial states by the (lazily computed) reachability
     closure of [seeds] — the orbit of canonical legitimate
-    configurations.  The closure doubles as the program's initial-state
-    enumerator, so the sparse engine of {!to_explicit} seeds its BFS
-    from it directly instead of scanning Sigma for the predicate. *)
+    configurations — as computed for {!reachable_from}.  {!initial}
+    becomes a rank lookup ([Layout.checked_rank] then an [int]-keyed
+    table), falling back to the side table for states outside Sigma.
+    The closure's sorted rank array doubles as the program's
+    initial-state enumerator, so the sparse engine of {!to_explicit}
+    seeds its BFS from it directly instead of scanning Sigma for the
+    predicate; a closure that left Sigma makes the sparse compile raise
+    [Invalid_argument "<name>: initial state outside Sigma"]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -132,6 +132,113 @@ let test_closure () =
   check "downstream initial" true (Program.initial p' [| 1; 0; 0 |]);
   check "not upstream" false (Program.initial p' [| 0; 2; 0 |])
 
+(* Naive reference closure: list-based BFS over [Program.step], with
+   membership by structural equality — no hashing at all. *)
+let reference_closure p seeds =
+  let rec go seen = function
+    | [] -> seen
+    | s :: rest ->
+        let fresh =
+          List.filter (fun s' -> not (List.mem s' seen)) (Program.step p s)
+          |> List.sort_uniq compare
+        in
+        go (fresh @ seen) (rest @ fresh)
+  in
+  let seeds = List.sort_uniq compare seeds in
+  List.sort compare (go seeds seeds)
+
+(* 14 slots whose moving ones (10..13) all lie past slot 9: the generic
+   [Hashtbl.hash] reads only the first 10 slots, so every reachable
+   state hashes alike.  Slot 3 has two values but is never written, so
+   at least half of Sigma lies outside the closure. *)
+let wide_layout =
+  Layout.make
+    (List.init 14 (fun i ->
+         (Printf.sprintf "v%d" i, if i = 3 then 2 else if i >= 10 then 4 else 1)))
+
+(* A process-0 action whose effect assigns the listed (slot, value)s. *)
+let act label guard updates =
+  Action.make ~label ~proc:0 ~guard ~effect:(fun s -> Action.set s (updates s)) ()
+
+let wide_prog =
+  Program.make ~name:"wide" ~layout:wide_layout
+    ~actions:
+      [
+        act "copy" (fun s -> s.(11) <> s.(10)) (fun s -> [ (11, s.(10)) ]);
+        act "inc" (fun s -> s.(11) = s.(10)) (fun s -> [ (10, (s.(10) + 1) mod 4) ]);
+        act "mix" (fun _ -> true) (fun s -> [ (12, (s.(12) + s.(13)) mod 4) ]);
+        act "bump"
+          (fun s -> s.(13) < 3 && s.(10) = 0)
+          (fun s -> [ (13, s.(13) + 1) ]);
+      ]
+    ~initial:(fun _ -> false)
+
+let test_closure_collisions () =
+  let seed = Array.make 14 0 in
+  let reference = reference_closure wide_prog [ seed ] in
+  check "the closure is a proper, non-trivial subset of Sigma" true
+    (List.length reference > 16
+    && List.length reference < Layout.num_states wide_layout);
+  check_int "every closure state hashes alike" 1
+    (List.length (List.sort_uniq compare (List.map Hashtbl.hash reference)));
+  let p = Program.with_initial_closure ~seeds:[ seed ] wide_prog in
+  List.iter
+    (fun s ->
+      check
+        (Fmt.str "initial %a" (Layout.pp_state wide_layout) s)
+        (List.mem s reference) (Program.initial p s))
+    (Layout.enumerate wide_layout);
+  let seen = Program.reachable_from wide_prog [ seed ] in
+  check "reachable_from = reference" true
+    (List.sort compare (Hashtbl.fold (fun s () acc -> s :: acc) seen [])
+    = reference);
+  let e = Program.to_explicit ~space:Cr_semantics.Space.Sparse p in
+  check "sparse compile states = reference" true
+    (List.sort compare
+       (List.init (Cr_semantics.Explicit.num_states e)
+          (Cr_semantics.Explicit.state e))
+    = reference)
+
+(* rw-dijkstra3 at N=8 (26 slots, counters first): the EXPERIMENTS
+   figure for the orbit of the canonical configuration. *)
+let test_closure_rw8 () =
+  let module Rw = Cr_tokenring.Rw_atomicity in
+  check_int "rw-dijkstra3(8) closure" 26496
+    (Hashtbl.length (Program.reachable_from (Rw.program 8) [ Rw.canonical 8 ]))
+
+(* A closure that leaves Sigma: x = 5 is outside x's domain, and the
+   states with y = 1 are reached only through escaped states. *)
+let test_closure_escape () =
+  let esc_layout = Layout.make [ ("x", 3); ("y", 3) ] in
+  let p =
+    Program.make ~name:"escape" ~layout:esc_layout
+      ~actions:
+        [
+          act "step" (fun s -> s.(0) < 2) (fun s -> [ (0, s.(0) + 1) ]);
+          act "leave" (fun s -> s.(0) = 2) (fun _ -> [ (0, 5) ]);
+          act "turn" (fun s -> s.(0) = 5 && s.(1) = 0) (fun _ -> [ (1, 1) ]);
+          act "home" (fun s -> s.(0) = 5 && s.(1) = 1) (fun _ -> [ (0, 0) ]);
+        ]
+      ~initial:(fun _ -> false)
+  in
+  let seeds = [ [| 0; 0 |] ] in
+  let seen = Program.reachable_from p seeds in
+  check_int "closure size" 8 (Hashtbl.length seen);
+  check "escaped states kept" true
+    (Hashtbl.mem seen [| 5; 0 |] && Hashtbl.mem seen [| 5; 1 |]);
+  check "reachable_from = reference" true
+    (List.sort compare (Hashtbl.fold (fun s () acc -> s :: acc) seen [])
+    = reference_closure p seeds);
+  let p' = Program.with_initial_closure ~seeds p in
+  check "escaped states are initial" true
+    (Program.initial p' [| 5; 0 |] && Program.initial p' [| 5; 1 |]);
+  check "reached through an escape" true (Program.initial p' [| 0; 1 |]);
+  check "outside the closure" false
+    (Program.initial p' [| 0; 2 |] || Program.initial p' [| 5; 2 |]);
+  Alcotest.check_raises "sparse compile refuses the escaped seeds"
+    (Invalid_argument "escape: initial state outside Sigma") (fun () ->
+      ignore (Program.to_explicit ~space:Cr_semantics.Space.Sparse p'))
+
 let test_faults_program () =
   let f = Cr_fault.Injector.faults layout in
   (* x has 2 values, y has 3, pinned none: actions = 2 + 3 = 5 *)
@@ -171,6 +278,10 @@ let () =
           Alcotest.test_case "box" `Quick test_box;
           Alcotest.test_case "box priority" `Quick test_box_priority;
           Alcotest.test_case "closure" `Quick test_closure;
+          Alcotest.test_case "closure collision shape" `Quick
+            test_closure_collisions;
+          Alcotest.test_case "closure escape" `Quick test_closure_escape;
+          Alcotest.test_case "closure rw-dijkstra3 n=8" `Quick test_closure_rw8;
         ] );
       ( "faults",
         [
