@@ -172,6 +172,26 @@ done
   exit 1
 }
 
+# Heap gate on the compression-heavy refinement: c1 vs BTR at N = 8
+# answers 94,208 compression queries from 337 distinct source images
+# per classify.  Batched per-source BFS keeps every reported
+# gc.top_heap_words peak under 16 M words (one distance row per chunk);
+# memoizing a 65,536-word row per source peaks above 50 M.  Heap peaks
+# depend on the job count, not on host speed, so CR_JOBS is pinned.
+# ⊑ fails there, so exit 1 is a verdict; only exit > 1 is a crash.
+heaplog=$(mktemp /tmp/cr.heap.XXXXXX)
+trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog" "$expout" "$expout0" "$explog" "$journal" "$jout1" "$jout4" "$spdef" "$spsparse" "$refout" "$heaplog"' EXIT
+rc=0
+CR_JOBS=1 dune exec bin/crcheck.exe -- refine c1 --ring 8 --space dense --stats \
+  > "$heaplog" 2> /dev/null || rc=$?
+[ "$rc" -le 1 ] || { echo "ci: refine c1 --ring 8 --stats crashed (rc=$rc)" >&2; exit 1; }
+peak=$(sed -n 's/^ *gc\.top_heap_words *\([0-9][0-9]*\)$/\1/p' "$heaplog" | sort -n | tail -n 1)
+[ -n "$peak" ] && [ "$peak" -le 16000000 ] || {
+  echo "ci: refine c1 --ring 8 heap peak ${peak:-missing} words exceeds 16000000" >&2
+  grep 'top_heap_words' "$heaplog" >&2 || true
+  exit 1
+}
+
 # The committed benchmark artifacts must stay well-formed JSON.
 dune exec bin/trace_lint.exe -- --json-only BENCH_PR4.json
 dune exec bin/trace_lint.exe -- --json-only BENCH_PR6.json

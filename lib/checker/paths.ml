@@ -1,9 +1,9 @@
 (* Shortest-path queries (BFS) and DAG longest paths.
 
-   The CSR kernels are the production path (the memoized oracle is
-   CSR-backed since the classify sweep feeds it the explicit system's
-   flat graph directly); the array-of-rows kernels remain as the
-   independent reference implementation for the qcheck properties. *)
+   The CSR kernels are the production path (the classify sweep feeds
+   the batched query its abstract system's flat graph directly); the
+   array-of-rows kernels remain as the independent reference
+   implementation for the qcheck properties. *)
 
 module Csr = Cr_kernel.Csr
 module Par = Cr_kernel.Par
@@ -45,12 +45,12 @@ let bfs_distances ~succ ~src =
   Cr_obs.Obs.add c_bfs_expansions !tail;
   dist
 
-(* Same BFS over the flat CSR arrays.  [q] is caller-provided scratch of
-   capacity >= n so the memoizing oracle shares one queue across
-   sources. *)
-let bfs_into ~(g : Csr.t) ~(q : int array) ~src =
+(* Same BFS over the flat CSR arrays, into caller-provided scratch:
+   [dist] all [-1] on entry, [q] of capacity >= n.  Returns the final
+   queue tail — the states the BFS touched are [q.(0 .. tail-1)], which
+   is what lets a batch reset [dist] in O(touched) between sources. *)
+let bfs_into ~(g : Csr.t) ~(dist : int array) ~(q : int array) ~src =
   let rp = Csr.row_ptr g and tg = Csr.targets g in
-  let dist = Array.make (Csr.num_states g) (-1) in
   let head = ref 0 and tail = ref 0 in
   dist.(src) <- 0;
   q.(0) <- src;
@@ -70,112 +70,82 @@ let bfs_into ~(g : Csr.t) ~(q : int array) ~src =
   done;
   Cr_obs.Obs.incr c_bfs_runs;
   Cr_obs.Obs.add c_bfs_expansions !tail;
-  dist
+  !tail
 
 let bfs_distances_csr ~succ ~src =
-  bfs_into ~g:succ ~q:(Array.make (max (Csr.num_states succ) 1) 0) ~src
-
-(* A shortest-path oracle over a fixed graph: per-source BFS distance rows
-   computed on demand and memoized, so a checker run that queries many
-   (src, dst) pairs (one per non-exact edge in [Refine.classify]) pays one
-   BFS per distinct source instead of one per query — including the
-   successor BFSs of the src = dst cycle case, which are shared with the
-   plain queries. *)
-type oracle = {
-  osucc : Csr.t;
-  rows : int array option array;  (* src -> memoized distance row *)
-  q : int array;  (* scratch BFS queue, shared across sources *)
-}
-
-let make_oracle ~succ =
   let n = Csr.num_states succ in
-  { osucc = succ; rows = Array.make n None; q = Array.make (max n 1) 0 }
+  let dist = Array.make n (-1) in
+  ignore (bfs_into ~g:succ ~dist ~q:(Array.make (max n 1) 0) ~src : int);
+  dist
 
-let oracle_dist o ~src =
-  match o.rows.(src) with
-  | Some d ->
-      Cr_obs.Obs.incr c_oracle_hits;
-      d
-  | None ->
-      Cr_obs.Obs.incr c_oracle_misses;
-      let dist = bfs_into ~g:o.osucc ~q:o.q ~src in
-      o.rows.(src) <- Some dist;
-      dist
-
-(* Pre-seed the memo for a batch of upcoming queries, one entry per
-   query *occurrence* (duplicates expected — pass the source of every
-   pending query, not the distinct set).  Fresh sources get their BFS
-   rows computed through [Par] — each an independent item with its own
-   scratch queue — and installed in the memo.  The hit/miss accounting
-   reproduces what querying the batch in order would have recorded (one
-   miss per fresh source, one hit per remaining entry), so the merged
-   oracle counters stay CR_JOBS-invariant.  After preseeding, queries
-   with a listed source are pure memo reads ({!shortest_nonempty_seeded}),
-   which is what makes one oracle safe to share across classify chunks. *)
-let preseed_oracle o ~(sources : int array) =
-  let n = Csr.num_states o.osucc in
-  let seen = Bitset.create n in
-  let fresh = ref [] and nfresh = ref 0 in
-  Array.iter
-    (fun s ->
-      if o.rows.(s) = None && not (Bitset.get seen s) then begin
-        Bitset.set seen s;
-        fresh := s :: !fresh;
-        incr nfresh
-      end)
-    sources;
-  let fresh = Array.of_list (List.rev !fresh) in
-  let nf = Array.length fresh in
-  if nf > 0 then begin
-    (* Chunked so each executor allocates one scratch queue for its whole
-       share (a queue per source is n words of garbage per BFS); sources
-       are distinct, so each memo slot has a unique writer. *)
-    let nchunks = max 1 (min nf (Par.current_jobs () * 8)) in
+(* A batch of [src <> dst] queries, answered with one BFS per distinct
+   source.  Query indices are grouped by source with a counting sort
+   ([pos.(s) .. pos.(s+1)-1] of [order] after the backward fill, each
+   group in ascending query order); the distinct sources are chunked
+   across [Par] (one chunk at one job, else eight per job for load
+   balance), and each chunk owns one [dist] row and one queue for its
+   whole share, resetting only the entries its last BFS touched.
+   Every answer slot has exactly one writer, so the result does not
+   depend on the job count, and neither do the counters: one
+   [paths.oracle.misses] (= one BFS run) per distinct source, one
+   [paths.oracle.hits] per other query. *)
+let shortest_nonempty_batch ~succ ~(srcs : int array) ~(dsts : int array) =
+  let nq = Array.length srcs in
+  if Array.length dsts <> nq then
+    invalid_arg "Paths.shortest_nonempty_batch: srcs/dsts lengths differ";
+  let out = Array.make nq (-1) in
+  if nq > 0 then begin
+    let n = Csr.num_states succ in
+    let pos = Array.make (n + 1) 0 in
+    Array.iteri
+      (fun k s ->
+        if s = dsts.(k) then
+          invalid_arg "Paths.shortest_nonempty_batch: src = dst";
+        pos.(s) <- pos.(s) + 1)
+      srcs;
+    for s = 1 to n do
+      pos.(s) <- pos.(s) + pos.(s - 1)
+    done;
+    let order = Array.make nq 0 in
+    for k = nq - 1 downto 0 do
+      let s = srcs.(k) in
+      pos.(s) <- pos.(s) - 1;
+      order.(pos.(s)) <- k
+    done;
+    let distinct = ref [] and nd = ref 0 in
+    for s = n - 1 downto 0 do
+      if pos.(s + 1) > pos.(s) then begin
+        distinct := s :: !distinct;
+        incr nd
+      end
+    done;
+    let distinct = Array.of_list !distinct and nd = !nd in
+    let jobs = Par.current_jobs () in
+    let nchunks = if jobs <= 1 then 1 else min nd (jobs * 8) in
     let chunks =
-      Array.init nchunks (fun d ->
-          (d * nf / nchunks, (d + 1) * nf / nchunks))
+      Array.init nchunks (fun d -> (d * nd / nchunks, (d + 1) * nd / nchunks))
     in
     ignore
       (Par.map_array
          (fun (lo, hi) ->
-           let q = Array.make (max n 1) 0 in
-           for k = lo to hi - 1 do
-             let src = fresh.(k) in
-             o.rows.(src) <- Some (bfs_into ~g:o.osucc ~q ~src)
+           let dist = Array.make n (-1) and q = Array.make n 0 in
+           for d = lo to hi - 1 do
+             let src = distinct.(d) in
+             let tail = bfs_into ~g:succ ~dist ~q ~src in
+             for p = pos.(src) to pos.(src + 1) - 1 do
+               let k = order.(p) in
+               out.(k) <- dist.(dsts.(k))
+             done;
+             for t = 0 to tail - 1 do
+               dist.(q.(t)) <- -1
+             done
            done)
          chunks
-        : unit array)
+        : unit array);
+    Cr_obs.Obs.add c_oracle_misses nd;
+    Cr_obs.Obs.add c_oracle_hits (nq - nd)
   end;
-  Cr_obs.Obs.add c_oracle_misses !nfresh;
-  Cr_obs.Obs.add c_oracle_hits (Array.length sources - !nfresh)
-
-let shortest_nonempty_memo o ~src ~dst =
-  if src <> dst then
-    let d = oracle_dist o ~src in
-    if d.(dst) >= 1 then Some d.(dst) else None
-  else begin
-    (* shortest cycle through src *)
-    let best = ref None in
-    Csr.iter_row o.osucc src (fun j ->
-        let d = oracle_dist o ~src:j in
-        if d.(dst) >= 0 then
-          let len = 1 + d.(dst) in
-          match !best with
-          | Some b when b <= len -> ()
-          | _ -> best := Some len);
-    !best
-  end
-
-(* Query a preseeded source: no accounting (the preseed batch already
-   charged this query) and no mutation, so concurrent domains may share
-   one oracle.  A source the preseed batch did not cover — or a src =
-   dst cycle query — falls back to the memoizing path, which is correct
-   but mutating: parallel callers must preseed every source they will
-   query and never ask for cycles. *)
-let shortest_nonempty_seeded o ~src ~dst =
-  match o.rows.(src) with
-  | Some d when src <> dst -> if d.(dst) >= 1 then Some d.(dst) else None
-  | _ -> shortest_nonempty_memo o ~src ~dst
+  out
 
 (* Length of the shortest nonempty path from [src] to [dst]; [None] when
    unreachable by a nonempty path.  (src = dst requires a cycle.) *)

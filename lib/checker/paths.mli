@@ -1,6 +1,6 @@
 (** BFS shortest paths and DAG longest paths.
 
-    The memoized {!oracle} and the [_csr] kernels run over {!Csr} graphs
+    {!shortest_nonempty_batch} and the [_csr] kernels run over {!Csr} graphs
     (the production path); the array-of-rows functions are the reference
     implementation the qcheck equivalence properties compare against. *)
 
@@ -12,38 +12,22 @@ val bfs_distances_csr : succ:Cr_kernel.Csr.t -> src:int -> int array
 
 val shortest_nonempty : succ:int array array -> src:int -> dst:int -> int option
 (** Length of the shortest path of length >= 1 (for [src = dst], the
-    shortest cycle).  Used to classify compression edges in the
-    convergence-refinement checker. *)
+    shortest cycle).  The row reference for {!shortest_nonempty_batch},
+    which classifies compression edges in the convergence-refinement
+    checker. *)
 
-type oracle
-(** Memoized shortest-path queries over a fixed CSR graph: one BFS per
-    distinct source across the oracle's lifetime, shared by all queries
-    (e.g. every non-exact edge of one [Refine.classify] run). *)
-
-val make_oracle : succ:Cr_kernel.Csr.t -> oracle
-
-val oracle_dist : oracle -> src:int -> int array
-(** The (memoized) BFS distance row from [src]; same contents as
-    {!bfs_distances}.  Callers must not mutate the returned array. *)
-
-val shortest_nonempty_memo : oracle -> src:int -> dst:int -> int option
-(** Same results as {!shortest_nonempty}, through the memo. *)
-
-val preseed_oracle : oracle -> sources:int array -> unit
-(** Pre-compute and memoize the BFS rows for a batch of upcoming
-    queries, one entry per query occurrence (duplicates expected).
-    Distinct fresh sources are computed in parallel through [Par]; the
-    hit/miss accounting matches querying the batch sequentially, so
-    merged counters stay CR_JOBS-invariant.  Afterwards the listed
-    sources can be queried read-only with {!shortest_nonempty_seeded}
-    from several domains sharing one oracle. *)
-
-val shortest_nonempty_seeded : oracle -> src:int -> dst:int -> int option
-(** Same results as {!shortest_nonempty_memo}, served without mutation
-    or accounting from a row installed by {!preseed_oracle}.  Falls back
-    to the (mutating) memoizing path when the row is missing or
-    [src = dst] — parallel callers must preseed every source they query
-    and never ask for cycles. *)
+val shortest_nonempty_batch :
+  succ:Cr_kernel.Csr.t -> srcs:int array -> dsts:int array -> int array
+(** [shortest_nonempty_batch ~succ ~srcs ~dsts] answers query [k] with the
+    shortest path length from [srcs.(k)] to [dsts.(k)], or [-1] when
+    unreachable — the same answers as {!shortest_nonempty}.  Every query
+    must have [src <> dst] ([Invalid_argument] otherwise).  Queries are
+    grouped by source, one BFS per distinct source, parallel through
+    [Par] with one reused distance row and queue per chunk, so memory is
+    O(states) per chunk rather than per source.  The answers and the
+    [paths.*] counters (misses = BFS runs = distinct sources, hits =
+    the other queries) are the same for every job count; an empty batch
+    allocates nothing graph-sized. *)
 
 val shortest_path : succ:int array array -> src:int -> dst:int -> int list option
 (** One shortest path, inclusive of endpoints ([src = dst] gives [[src]]). *)

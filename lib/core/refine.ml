@@ -174,7 +174,7 @@ let iter_classified t f =
 
 (* Edge-class telemetry, published once per classify from the merged
    chunk totals (the sweep itself carries no instrumentation beyond the
-   oracle's own counters). *)
+   batched path query's own counters). *)
 let c_classify_runs = Cr_obs.Obs.counter "refine.classify.runs"
 
 (* Wall time of each chunk of the classification sweep — the
@@ -188,26 +188,26 @@ let c_edges_compression = Cr_obs.Obs.counter "refine.edges.compression"
 let c_edges_unmatched = Cr_obs.Obs.counter "refine.edges.unmatched"
 let c_max_dropped = Cr_obs.Obs.counter ~kind:Cr_obs.Obs.Max "refine.max_dropped"
 
-(* Classify each edge of [c] against [a] through [alpha], in two phases
-   sharing ONE memoized shortest-path oracle:
+(* Classify each edge of [c] against [a] through [alpha], in two phases:
 
    - phase A sweeps contiguous state chunks, classifying the stutter and
      exact edges and recording the remaining (path-query) edges' offsets
      per chunk;
-   - the oracle is preseeded with the pending sources
-     ([Paths.preseed_oracle] — each distinct source one parallel BFS
-     item, accounted exactly as the queries in sweep order would be);
-   - phase B resolves the pending edges with read-only memo lookups.
+   - phase B collects every pending edge's (source image, target image,
+     offset) in chunk order and answers them with ONE
+     [Paths.shortest_nonempty_batch] call (one BFS per distinct source
+     image, parallel through [Par] with a reused distance row per
+     chunk), then writes each answer to its edge's code.
 
    CR_JOBS = 1 is the one-chunk case.  Otherwise there are many more
    chunks than domains, claimed from [Par]'s atomic item counter so
    edge-balanced stragglers stop serializing the fan-out.  Chunk
    boundaries are edge-balanced (binary search of the cumulative edge
    count in [row_ptr]), every edge is written at its absolute CSR
-   offset, and per-chunk tallies are merged in chunk order — so the
-   classified codes, the stats and every merged counter (the [refine.*]
-   totals below, the oracle's hit/miss and [paths.bfs.*] counters) are
-   identical for every job count. *)
+   offset by exactly one writer, and per-chunk tallies are merged in
+   chunk order — so the classified codes, the stats and every merged
+   counter (the [refine.*] totals below, the [paths.oracle.*] and
+   [paths.bfs.*] counters) are identical for every job count. *)
 let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
     classified * stats =
   Cr_obs.Obs.span "refine.classify" @@ fun () ->
@@ -269,22 +269,6 @@ let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
       f !i k
     done
   in
-  (* Phase B: resolve one chunk's pending edges against the shared,
-     preseeded oracle — pure memo reads, so the chunks can share it. *)
-  let resolve oracle chunk =
-    let compressions = ref 0 and max_dropped = ref 0 in
-    iter_pending chunk (fun i k ->
-        match
-          Cr_checker.Paths.shortest_nonempty_seeded oracle ~src:alpha.(i)
-            ~dst:alpha.(tg.(k))
-        with
-        | Some len when len >= 2 ->
-            codes.(k) <- len;
-            incr compressions;
-            if len - 1 > !max_dropped then max_dropped := len - 1
-        | Some _ | None -> ());
-    (!compressions, !max_dropped)
-  in
   let jobs = min (Par.current_jobs ()) (max n 1) in
   let num_chunks = if jobs <= 1 then 1 else max jobs (min n (jobs * 8)) in
   (* Edge-balanced chunk boundaries: state index d covers edges up to
@@ -306,29 +290,35 @@ let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
   in
   let chunks = Array.init num_chunks (fun d -> (boundary d, boundary (d + 1))) in
   let parts = Par.map_array sweep chunks in
-  (* every pending query's source image, in chunk order — one entry per
-     query, so the preseed accounting matches the sweep order *)
-  let sources =
-    Array.make (Array.fold_left (fun acc (_, _, _, _, np) -> acc + np) 0 parts) 0
-  in
+  (* Phase B: every pending edge as one batched path query, in chunk
+     order.  Pending edges have distinct images (equal ones are
+     stutters), and a reachable image at distance 1 would have been an
+     exact edge, so every answer is either [-1] or a compression. *)
+  let np = Array.fold_left (fun acc (_, _, _, _, np) -> acc + np) 0 parts in
+  let srcs = Array.make np 0 and dsts = Array.make np 0 in
+  let offs = Array.make np 0 in
   let w = ref 0 in
   Array.iter
     (fun part ->
-      iter_pending part (fun i _ ->
-          sources.(!w) <- alpha.(i);
+      iter_pending part (fun i k ->
+          srcs.(!w) <- alpha.(i);
+          dsts.(!w) <- alpha.(tg.(k));
+          offs.(!w) <- k;
           incr w))
     parts;
-  let oracle = Cr_checker.Paths.make_oracle ~succ:succ_a in
-  Cr_checker.Paths.preseed_oracle oracle ~sources;
-  let resolved = Par.map_array (resolve oracle) parts in
-  (* deterministic merge in chunk order *)
+  let dist = Cr_checker.Paths.shortest_nonempty_batch ~succ:succ_a ~srcs ~dsts in
+  let compressions = ref 0 and max_dropped = ref 0 in
+  Array.iteri
+    (fun p len ->
+      if len >= 2 then begin
+        codes.(offs.(p)) <- len;
+        incr compressions;
+        if len - 1 > !max_dropped then max_dropped := len - 1
+      end)
+    dist;
+  let compressions = !compressions and max_dropped = !max_dropped in
   let exact, stutter =
     Array.fold_left (fun (e, s) (_, e', s', _, _) -> (e + e', s + s')) (0, 0) parts
-  in
-  let compressions, max_dropped =
-    Array.fold_left
-      (fun (cp, md) (cp', md') -> (cp + cp', max md md'))
-      (0, 0) resolved
   in
   if Cr_obs.Obs.tracking () then begin
     Cr_obs.Obs.incr c_classify_runs;

@@ -90,10 +90,10 @@ val classify :
   a:'a Cr_semantics.Explicit.t ->
   classified * stats
 (** Classify every concrete transition against the abstract system.
-    Shortest-path queries against the abstract graph share one memoized
-    BFS oracle per call.  The sweep is domain-chunked under [CR_JOBS];
-    the result and every merged counter are the same for every job
-    count. *)
+    The compression edges' shortest-path queries against the abstract
+    graph go out as one batch per call, one BFS per distinct source.
+    The sweep is domain-chunked under [CR_JOBS]; the result and every
+    merged counter are the same for every job count. *)
 
 val init_refinement :
   ?alpha:int array ->

@@ -58,6 +58,62 @@ let test_shortest_nonempty () =
     "4 to 0 impossible" None
     (Cr_checker.Paths.shortest_nonempty ~succ:g ~src:4 ~dst:0)
 
+(* At one job all 16 distinct sources share one chunk, BFSed in
+   ascending order; only the even sources reach [t].  A chunk that
+   failed to reset its distance row between two BFSs would still see
+   [t] at distance 1 from each odd source. *)
+let test_batch_scratch_reset () =
+  let t = 16 in
+  let rows = Array.init 17 (fun s -> if s < t && s mod 2 = 0 then [| t |] else [||]) in
+  let succ = Cr_kernel.Csr.of_rows rows in
+  let srcs = Array.init 16 Fun.id in
+  let got =
+    Cr_kernel.Par.with_jobs 1 (fun () ->
+        Cr_checker.Paths.shortest_nonempty_batch ~succ ~srcs
+          ~dsts:(Array.make 16 t))
+  in
+  Alcotest.(check (array int))
+    "only even sources reach t"
+    (Array.init 16 (fun s -> if s mod 2 = 0 then 1 else -1))
+    got;
+  check "src = dst is rejected" true
+    (match
+       Cr_checker.Paths.shortest_nonempty_batch ~succ ~srcs:[| 0; 2 |]
+         ~dsts:[| t; 2 |]
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* Lemma 7 (E5, C1 vs BTR at N = 4): 176 compression queries from 17
+   distinct source images — the counts EXPERIMENTS.md's worked example
+   records — at every job count. *)
+let test_batch_counters_e5 () =
+  let module Obs = Cr_obs.Obs in
+  List.iter
+    (fun jobs ->
+      Obs.reset ();
+      Obs.force_collect ();
+      let r =
+        Cr_kernel.Par.with_jobs jobs (fun () ->
+            Cr_core.Check_cache.bypass (fun () ->
+                Cr_experiments.Ring_exps.lemma7 4))
+      in
+      check "[C1 ⪯ BTR] holds" true r.Cr_core.Refine.holds;
+      let snap = Obs.merged_snapshot () in
+      List.iter
+        (fun (name, want) ->
+          check_int
+            (Printf.sprintf "%s at jobs=%d" name jobs)
+            want
+            (Option.value ~default:0 (List.assoc_opt name snap)))
+        [
+          ("paths.oracle.hits", 159);
+          ("paths.oracle.misses", 17);
+          ("paths.bfs.runs", 17);
+          ("paths.bfs.expansions", 444);
+        ])
+    [ 1; 2; 4 ]
+
 let test_shortest_path () =
   (match Cr_checker.Paths.shortest_path ~succ:g ~src:0 ~dst:4 with
   | Some p ->
@@ -135,22 +191,36 @@ let prop_bfs_path_agree =
       done;
       !ok)
 
-let prop_oracle_eq_fresh_bfs =
-  QCheck2.Test.make ~name:"memoized oracle = fresh BFS shortest_nonempty"
-    ~count:100 gen_graph (fun g ->
+(* A random batch over a random graph: up to 60 queries over at most 12
+   nodes, so sources repeat, some destinations are unreachable, and
+   several sources share a chunk (all of them at one job); src = dst
+   pairs dropped. *)
+let gen_batch_case =
+  QCheck2.Gen.(
+    let* ((n, _) as g) = gen_graph in
+    let* qs = list_size (int_bound 60) (pair (int_bound (n - 1)) (int_bound (n - 1))) in
+    return (g, List.filter (fun (s, d) -> s <> d) qs))
+
+let prop_batch_eq_reference =
+  QCheck2.Test.make ~name:"batched shortest_nonempty = row reference, jobs 1/2/4"
+    ~count:100 gen_batch_case (fun (g, qs) ->
       let adj = adj_of g in
-      let n = Array.length adj in
-      let o = Cr_checker.Paths.make_oracle ~succ:(Cr_kernel.Csr.of_rows adj) in
-      let ok = ref true in
-      for src = 0 to n - 1 do
-        for dst = 0 to n - 1 do
-          if
-            Cr_checker.Paths.shortest_nonempty_memo o ~src ~dst
-            <> Cr_checker.Paths.shortest_nonempty ~succ:adj ~src ~dst
-          then ok := false
-        done
-      done;
-      !ok)
+      let succ = Cr_kernel.Csr.of_rows adj in
+      let srcs = Array.of_list (List.map fst qs) in
+      let dsts = Array.of_list (List.map snd qs) in
+      let expected =
+        Array.map2
+          (fun src dst ->
+            Option.value ~default:(-1)
+              (Cr_checker.Paths.shortest_nonempty ~succ:adj ~src ~dst))
+          srcs dsts
+      in
+      List.for_all
+        (fun jobs ->
+          Cr_kernel.Par.with_jobs jobs (fun () ->
+              Cr_checker.Paths.shortest_nonempty_batch ~succ ~srcs ~dsts)
+          = expected)
+        [ 1; 2; 4 ])
 
 let prop_par_map_eq_seq =
   QCheck2.Test.make ~name:"Par.map_array with jobs>1 = Array.map" ~count:50
@@ -374,7 +444,7 @@ let qcheck_cases =
     [
       prop_scc_mutual_reach;
       prop_bfs_path_agree;
-      prop_oracle_eq_fresh_bfs;
+      prop_batch_eq_reference;
       prop_par_map_eq_seq;
       prop_csr_reach_agree;
       prop_csr_scc_agree;
@@ -401,6 +471,8 @@ let () =
         [
           Alcotest.test_case "bfs" `Quick test_bfs;
           Alcotest.test_case "shortest_nonempty" `Quick test_shortest_nonempty;
+          Alcotest.test_case "batch scratch reset" `Quick test_batch_scratch_reset;
+          Alcotest.test_case "batch counters on E5" `Quick test_batch_counters_e5;
           Alcotest.test_case "shortest_path" `Quick test_shortest_path;
           Alcotest.test_case "longest_within" `Quick test_longest_within;
         ] );
