@@ -10,6 +10,16 @@ cd "$(dirname "$0")/.."
 dune build @all
 dune runtest
 
+# One graph representation: the checker kernels take CSR graphs only.
+# No checker interface may mention an array-of-rows type or export a
+# [_csr]-suffixed twin; Fair's action table is an [int array array]
+# legitimately, so fair.mli gets only the suffix check.
+if grep -nE 'int array array|^val [a-z_]+_csr' lib/checker/*.mli \
+   || grep -nE '^val [a-z_]+_csr' lib/core/fair.mli; then
+  echo "ci: a row-graph or _csr twin kernel is back in the checker API" >&2
+  exit 1
+fi
+
 trace=$(mktemp /tmp/cr.trace.XXXXXX)
 lintjson=$(mktemp /tmp/cr.lint.XXXXXX)
 trap 'rm -f "$trace" "$lintjson"' EXIT

@@ -20,7 +20,7 @@ let campaign ~name (p : Cr_guarded.Program.t) ~converged ~n =
       (Array.init (Cr_semantics.Explicit.num_states e) (fun i ->
            not (converged (Cr_semantics.Explicit.state e i))))
   in
-  let depth = Cr_checker.Paths.longest_within_csr ~succ ~mask in
+  let depth = Cr_checker.Paths.longest_within ~succ ~mask in
   let worst = Array.fold_left max 0 depth in
   pf "exact worst-case recovery: %d steps@." worst;
   (* Monte-Carlo under random and round-robin daemons *)

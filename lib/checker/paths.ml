@@ -1,9 +1,8 @@
-(* Shortest-path queries (BFS) and DAG longest paths.
+(* Shortest-path queries (BFS) and DAG longest paths over CSR graphs.
 
-   The CSR kernels are the production path (the classify sweep feeds
-   the batched query its abstract system's flat graph directly); the
-   array-of-rows kernels remain as the independent reference
-   implementation for the qcheck properties. *)
+   The classify sweep feeds the batched query its abstract system's flat
+   graph directly.  The tests check every kernel here against the
+   Bellman-Ford and memoised-recursion oracles of test/graph_oracle.ml. *)
 
 module Csr = Cr_kernel.Csr
 module Par = Cr_kernel.Par
@@ -18,37 +17,11 @@ let c_bfs_expansions = Cr_obs.Obs.counter "paths.bfs.expansions"
 let c_oracle_hits = Cr_obs.Obs.counter "paths.oracle.hits"
 let c_oracle_misses = Cr_obs.Obs.counter "paths.oracle.misses"
 
-(* Flat-array FIFO: every node is enqueued at most once, so capacity n
-   suffices and the BFS allocates nothing but the two arrays. *)
-let bfs_distances ~succ ~src =
-  let n = Array.length succ in
-  let dist = Array.make n (-1) in
-  let q = Array.make n 0 in
-  let head = ref 0 and tail = ref 0 in
-  dist.(src) <- 0;
-  q.(0) <- src;
-  tail := 1;
-  while !head < !tail do
-    let i = q.(!head) in
-    incr head;
-    let d = dist.(i) + 1 in
-    Array.iter
-      (fun j ->
-        if dist.(j) = -1 then begin
-          dist.(j) <- d;
-          q.(!tail) <- j;
-          incr tail
-        end)
-      succ.(i)
-  done;
-  Cr_obs.Obs.incr c_bfs_runs;
-  Cr_obs.Obs.add c_bfs_expansions !tail;
-  dist
-
-(* Same BFS over the flat CSR arrays, into caller-provided scratch:
-   [dist] all [-1] on entry, [q] of capacity >= n.  Returns the final
-   queue tail — the states the BFS touched are [q.(0 .. tail-1)], which
-   is what lets a batch reset [dist] in O(touched) between sources. *)
+(* BFS over the flat CSR arrays, into caller-provided scratch: [dist]
+   all [-1] on entry, [q] a flat FIFO of capacity >= n (every node is
+   enqueued at most once).  Returns the final queue tail — the states
+   the BFS touched are [q.(0 .. tail-1)], which is what lets a batch
+   reset [dist] in O(touched) between sources. *)
 let bfs_into ~(g : Csr.t) ~(dist : int array) ~(q : int array) ~src =
   let rp = Csr.row_ptr g and tg = Csr.targets g in
   let head = ref 0 and tail = ref 0 in
@@ -71,12 +44,6 @@ let bfs_into ~(g : Csr.t) ~(dist : int array) ~(q : int array) ~src =
   Cr_obs.Obs.incr c_bfs_runs;
   Cr_obs.Obs.add c_bfs_expansions !tail;
   !tail
-
-let bfs_distances_csr ~succ ~src =
-  let n = Csr.num_states succ in
-  let dist = Array.make n (-1) in
-  ignore (bfs_into ~g:succ ~dist ~q:(Array.make (max n 1) 0) ~src : int);
-  dist
 
 (* A batch of [src <> dst] queries, answered with one BFS per distinct
    source.  Query indices are grouped by source with a counting sort
@@ -147,57 +114,9 @@ let shortest_nonempty_batch ~succ ~(srcs : int array) ~(dsts : int array) =
   end;
   out
 
-(* Length of the shortest nonempty path from [src] to [dst]; [None] when
-   unreachable by a nonempty path.  (src = dst requires a cycle.) *)
-let shortest_nonempty ~succ ~src ~dst =
-  if src <> dst then
-    let d = bfs_distances ~succ ~src in
-    if d.(dst) >= 1 then Some d.(dst) else None
-  else
-    (* shortest cycle through src *)
-    let best = ref None in
-    Array.iter
-      (fun j ->
-        let d = bfs_distances ~succ ~src:j in
-        if d.(dst) >= 0 then
-          let len = 1 + d.(dst) in
-          match !best with
-          | Some b when b <= len -> ()
-          | _ -> best := Some len)
-      succ.(src);
-    !best
-
 (* Reconstruct one shortest path src -> dst (list of states, inclusive);
-   requires dst reachable. *)
+   [None] when dst is unreachable. *)
 let shortest_path ~succ ~src ~dst =
-  if src = dst then Some [ src ]
-  else
-    let n = Array.length succ in
-    let parent = Array.make n (-1) in
-    let dist = Array.make n (-1) in
-    let q = Queue.create () in
-    dist.(src) <- 0;
-    Queue.push src q;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty q) do
-      let i = Queue.pop q in
-      Array.iter
-        (fun j ->
-          if dist.(j) = -1 then begin
-            dist.(j) <- dist.(i) + 1;
-            parent.(j) <- i;
-            if j = dst then found := true;
-            Queue.push j q
-          end)
-        succ.(i)
-    done;
-    if not !found then None
-    else begin
-      let rec build acc i = if i = src then src :: acc else build (i :: acc) parent.(i) in
-      Some (build [] dst)
-    end
-
-let shortest_path_csr ~succ ~src ~dst =
   if src = dst then Some [ src ]
   else begin
     let n = Csr.num_states succ in
@@ -242,59 +161,6 @@ exception Cyclic
    arrays, safe for masked regions whose longest path exceeds the OCaml
    call stack and allocation-free per visit. *)
 let longest_within ~succ ~mask =
-  Cr_obs.Obs.span "paths.longest_within" @@ fun () ->
-  let n = Array.length succ in
-  let memo = Array.make n (-1) in
-  let visiting = Array.make n false in
-  let call_v = Array.make n 0 in
-  let call_c = Array.make n 0 in
-  let cp = ref 0 in
-  let compute root =
-    visiting.(root) <- true;
-    call_v.(0) <- root;
-    call_c.(0) <- 0;
-    cp := 1;
-    while !cp > 0 do
-      let i = call_v.(!cp - 1) in
-      let c = call_c.(!cp - 1) in
-      let row = succ.(i) in
-      if c < Array.length row then begin
-        let j = row.(c) in
-        call_c.(!cp - 1) <- c + 1;
-        if mask.(j) then begin
-          if visiting.(j) then raise Cyclic;
-          if memo.(j) < 0 then begin
-            visiting.(j) <- true;
-            call_v.(!cp) <- j;
-            call_c.(!cp) <- 0;
-            incr cp
-          end
-        end
-      end
-      else begin
-        decr cp;
-        visiting.(i) <- false;
-        (* leaving the masked region (or stopping there) costs one step
-           for the edge itself, nothing beyond *)
-        let best = ref 0 in
-        Array.iter
-          (fun j ->
-            let v = 1 + if mask.(j) then memo.(j) else 0 in
-            if v > !best then best := v)
-          row;
-        memo.(i) <- !best
-      end
-    done
-  in
-  Array.init n (fun i ->
-      if not mask.(i) then 0
-      else begin
-        if memo.(i) < 0 then compute i;
-        memo.(i)
-      end)
-
-(* The same DFS over the flat CSR arrays and a packed mask. *)
-let longest_within_csr ~succ ~mask =
   Cr_obs.Obs.span "paths.longest_within" @@ fun () ->
   let n = Csr.num_states succ in
   let rp = Csr.row_ptr succ and tg = Csr.targets succ in

@@ -440,12 +440,12 @@ let everywhere_refinement ?alpha ~c ~a () =
 let cycle_tests ~fair g =
   match fair with
   | None ->
-      let scc = lazy (Cr_checker.Scc.compute_csr g) in
+      let scc = lazy (Cr_checker.Scc.compute g) in
       ( (fun i j -> Cr_checker.Scc.edge_on_cycle (Lazy.force scc) i j),
         fun i -> Cr_checker.Scc.on_cycle (Lazy.force scc) i )
   | Some tables ->
       let analysis =
-        Fair.analyze_csr tables ~succ:g ~mask:(Bitset.full (Csr.num_states g))
+        Fair.analyze tables ~succ:g ~mask:(Bitset.full (Csr.num_states g))
       in
       ( (fun i j -> Fair.edge_on_fair_cycle analysis i j),
         fun i -> analysis.Fair.fair.(i) )
@@ -466,7 +466,7 @@ let cycle_relation ~relation ~span ~rule ?alpha ?fair ~c ~a () =
   let reach =
     Cr_obs.Obs.span "refine.init_check" @@ fun () ->
     let reach =
-      Cr_checker.Reach.forward_csr ~succ:succ_c
+      Cr_checker.Reach.forward ~succ:succ_c
         ~seeds:(Array.to_list (Explicit.initials c))
     in
     iter_codes classified (fun i j code ->

@@ -137,7 +137,7 @@ let hitting ~name ~(mk : int -> Program.t)
   let succ = Cr_checker.Reach.of_explicit e in
   let pred = Cr_checker.Reach.pred_of_explicit e in
   let ex =
-    Cr_checker.Hitting.expected_csr ~succ ~pred
+    Cr_checker.Hitting.expected ~succ ~pred
       ~target:r.Cr_core.Stabilize.good_mask ()
   in
   {

@@ -92,9 +92,9 @@ let analyze ?(max_k = 8) (p : Program.t)
   in
   let dist = min_faults ~succ ~fault_succ ~sources in
   let not_good = Cr_kernel.Bitset.of_bool_array (Array.map not good) in
-  let depth = Cr_checker.Paths.longest_within_csr ~succ ~mask:not_good in
+  let depth = Cr_checker.Paths.longest_within ~succ ~mask:not_good in
   let expected =
-    Cr_checker.Hitting.expected_csr ~succ
+    Cr_checker.Hitting.expected ~succ
       ~pred:(Cr_checker.Reach.pred_of_explicit e) ~target:good ()
   in
   let rec rows k prev_span acc =

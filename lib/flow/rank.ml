@@ -45,8 +45,10 @@ let of_flow (fl : Flow.t) : t option =
        which we track separately anyway). *)
     let succs = Array.make nv [] in
     List.iter (fun (r, w) -> succs.(r) <- w :: succs.(r)) edges;
+    (* [edges] is sorted and self-loop-free, so the reversed rows are
+       ascending and deduplicated: the CSR invariant holds *)
     let adj = Array.map (fun l -> Array.of_list (List.rev l)) succs in
-    let scc = Cr_checker.Scc.compute adj in
+    let scc = Cr_checker.Scc.compute (Cr_kernel.Csr.of_rows adj) in
     let comp_of = scc.Cr_checker.Scc.component in
     let ncomp = scc.Cr_checker.Scc.count in
     let members = Array.make ncomp [] in

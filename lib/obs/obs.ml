@@ -473,17 +473,23 @@ let gc_cost_entries (g : gc_cost) : snapshot =
 let merge_snapshots (a : snapshot) (b : snapshot) : snapshot =
   List.sort (fun (x, _) (y, _) -> String.compare x y) (a @ b)
 
-(* Counter movement plus the gc.* allocation delta of [f], both
-   domain-local, so they are deterministic even when sibling work runs
-   on other domains. *)
+(* Counter movement plus the gc.* allocation delta of [f].  Entered
+   with no [Par] worker live, [f] runs every fan-out it starts to
+   completion, so the merged snapshot diff is its whole cost (including
+   the items worker domains ran).  Entered inside a fan-out, nested
+   [Par] calls run sequentially on this domain, so the domain-local
+   diff is complete and stays clear of sibling items. *)
 let measure f =
   if not (tracking ()) then (f (), None)
   else begin
-    let before = domain_snapshot () in
+    let snapshot =
+      if live_workers () = 0 then merged_snapshot else domain_snapshot
+    in
+    let before = snapshot () in
     let gc_before = gc_now () in
     let r = f () in
     let gc_after = gc_now () in
-    let after = domain_snapshot () in
+    let after = snapshot () in
     ( r,
       Some
         (merge_snapshots (diff ~before ~after)

@@ -147,9 +147,12 @@ val merge_snapshots : snapshot -> snapshot -> snapshot
     [gc.*] entries in one cost snapshot). *)
 
 val measure : (unit -> 'a) -> 'a * snapshot option
-(** [measure f] runs [f] and, while {!tracking}, also returns the
-    movement of the calling domain's counters merged with its [gc.*]
-    allocation delta — the cost snapshot checkers attach to verdicts. *)
+(** [measure f] runs [f] and, while {!tracking}, also returns its
+    counter movement merged with the calling domain's [gc.*] allocation
+    delta — the cost snapshot checkers attach to verdicts.  Outside a
+    [Par] fan-out the counters are the merged (all-domain) movement, so
+    the cost is the same for every job count; inside one, where nested
+    fan-outs run sequentially, they are the calling domain's. *)
 
 val reset : unit -> unit
 (** Zero all counters and drop all spans (test support). *)

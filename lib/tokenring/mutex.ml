@@ -59,7 +59,7 @@ let check ~(privileged : Layout.state -> int -> bool) ~(num_procs : int)
       (Cr_checker.Reach.of_explicit e)
       (Cr_kernel.Bitset.of_bool_array good)
   in
-  let scc = Cr_checker.Scc.compute_csr restricted in
+  let scc = Cr_checker.Scc.compute restricted in
   let members = Array.make scc.Cr_checker.Scc.count [] in
   for i = n - 1 downto 0 do
     if good.(i) then begin
@@ -102,7 +102,7 @@ let i4_equal_frequency n (p : Program.t)
       (Cr_checker.Reach.of_explicit e)
       (Cr_kernel.Bitset.of_bool_array good)
   in
-  let scc = Cr_checker.Scc.compute_csr restricted in
+  let scc = Cr_checker.Scc.compute restricted in
   let members = Array.make scc.Cr_checker.Scc.count [] in
   for i = num - 1 downto 0 do
     if good.(i) then begin

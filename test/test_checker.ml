@@ -7,21 +7,25 @@ let () = Unix.putenv "CR_PAR_CAP" "8"
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+module Csr = Cr_kernel.Csr
+module Bs = Cr_kernel.Bitset
+
 (* adjacency: 0->1->2->0 (cycle), 2->3, 3->4, 5 isolated *)
-let g = [| [| 1 |]; [| 2 |]; [| 0; 3 |]; [| 4 |]; [||]; [||] |]
+let rows = [| [| 1 |]; [| 2 |]; [| 0; 3 |]; [| 4 |]; [||]; [||] |]
+let g = Csr.of_rows rows
 
 let test_forward () =
   let r = Cr_checker.Reach.forward ~succ:g ~seeds:[ 0 ] in
-  check "reaches 4" true r.(4);
-  check "not 5" false r.(5);
-  check_int "count" 5 (Cr_checker.Reach.count r);
+  check "reaches 4" true (Bs.get r 4);
+  check "not 5" false (Bs.get r 5);
+  check_int "count" 5 (Bs.count r);
   Alcotest.(check (list int)) "members" [ 0; 1; 2; 3; 4 ]
-    (Cr_checker.Reach.members r)
+    (List.filter (Bs.get r) (List.init 6 Fun.id))
 
 let test_backward () =
   let r = Cr_checker.Reach.backward ~succ:g ~seeds:[ 4 ] in
-  check "0 reaches 4" true r.(0);
-  check "5 does not" false r.(5)
+  check "0 reaches 4" true (Bs.get r 0);
+  check "5 does not" false (Bs.get r 5)
 
 let test_scc () =
   let t = Cr_checker.Scc.compute g in
@@ -35,28 +39,35 @@ let test_scc () =
   check "edge 1->2 on cycle" true (Cr_checker.Scc.edge_on_cycle t 1 2);
   check "edge 2->3 not" false (Cr_checker.Scc.edge_on_cycle t 2 3)
 
+(* Acyclicity of a masked region, as the stabilization checker asks it:
+   no component of the restricted graph has two states. *)
+let acyclic_within g mask =
+  let mask = Bs.of_bool_array mask in
+  let t = Cr_checker.Scc.compute (Csr.restrict g mask) in
+  List.for_all
+    (fun i -> not (Bs.get mask i && Cr_checker.Scc.on_cycle t i))
+    (List.init (Csr.num_states g) Fun.id)
+
 let test_acyclic_within () =
   let all = Array.make 6 true in
-  check "whole graph cyclic" false (Cr_checker.Scc.acyclic_within g all);
+  check "whole graph cyclic" false (acyclic_within g all);
   let no_cycle = [| false; true; true; true; true; true |] in
-  check "without 0 acyclic" true (Cr_checker.Scc.acyclic_within g no_cycle)
+  check "without 0 acyclic" true (acyclic_within g no_cycle)
 
 let test_bfs () =
-  let d = Cr_checker.Paths.bfs_distances ~succ:g ~src:0 in
-  check_int "dist to 4" 4 d.(4);
-  check_int "dist to 0" 0 d.(0);
-  check_int "unreachable" (-1) d.(5)
+  let d =
+    Cr_checker.Paths.shortest_nonempty_batch ~succ:g ~srcs:[| 0; 0; 0 |]
+      ~dsts:[| 4; 2; 5 |]
+  in
+  check_int "dist to 4" 4 d.(0);
+  check_int "dist to 2" 2 d.(1);
+  check_int "unreachable" (-1) d.(2)
 
 let test_shortest_nonempty () =
-  Alcotest.(check (option int))
-    "1 to 0" (Some 2)
-    (Cr_checker.Paths.shortest_nonempty ~succ:g ~src:1 ~dst:0);
-  Alcotest.(check (option int))
-    "cycle through 0" (Some 3)
-    (Cr_checker.Paths.shortest_nonempty ~succ:g ~src:0 ~dst:0);
-  Alcotest.(check (option int))
-    "4 to 0 impossible" None
-    (Cr_checker.Paths.shortest_nonempty ~succ:g ~src:4 ~dst:0)
+  Alcotest.(check (array int))
+    "1 to 0, 4 to 0 impossible" [| 2; -1 |]
+    (Cr_checker.Paths.shortest_nonempty_batch ~succ:g ~srcs:[| 1; 4 |]
+       ~dsts:[| 0; 0 |])
 
 (* At one job all 16 distinct sources share one chunk, BFSed in
    ascending order; only the even sources reach [t].  A chunk that
@@ -99,19 +110,28 @@ let test_batch_counters_e5 () =
                 Cr_experiments.Ring_exps.lemma7 4))
       in
       check "[C1 ⪯ BTR] holds" true r.Cr_core.Refine.holds;
-      let snap = Obs.merged_snapshot () in
-      List.iter
-        (fun (name, want) ->
-          check_int
-            (Printf.sprintf "%s at jobs=%d" name jobs)
-            want
-            (Option.value ~default:0 (List.assoc_opt name snap)))
+      let expect what snap wants =
+        List.iter
+          (fun (name, want) ->
+            check_int
+              (Printf.sprintf "%s %s at jobs=%d" what name jobs)
+              want
+              (Option.value ~default:0 (List.assoc_opt name snap)))
+          wants
+      in
+      expect "merged" (Obs.merged_snapshot ())
         [
           ("paths.oracle.hits", 159);
           ("paths.oracle.misses", 17);
           ("paths.bfs.runs", 17);
           ("paths.bfs.expansions", 444);
-        ])
+        ];
+      (* the verdict's own cost counts the BFS runs of every domain *)
+      match r.Cr_core.Refine.cost with
+      | None -> Alcotest.fail "no cost snapshot while tracking"
+      | Some cost ->
+          expect "cost" cost
+            [ ("paths.oracle.misses", 17); ("paths.bfs.runs", 17) ])
     [ 1; 2; 4 ]
 
 let test_shortest_path () =
@@ -128,23 +148,26 @@ let test_shortest_path () =
 
 let test_longest_within () =
   (* DAG: 0->1->2, 0->2, mask all *)
-  let dag = [| [| 1; 2 |]; [| 2 |]; [||] |] in
-  let l = Cr_checker.Paths.longest_within ~succ:dag ~mask:(Array.make 3 true) in
+  let dag = Csr.of_rows [| [| 1; 2 |]; [| 2 |]; [||] |] in
+  let longest mask =
+    Cr_checker.Paths.longest_within ~succ:dag ~mask:(Bs.of_bool_array mask)
+  in
+  let l = longest (Array.make 3 true) in
   check_int "longest from 0" 2 l.(0);
   check_int "longest from 2" 0 l.(2);
   (* masked region: only 0 and 1 — an edge out of the mask still counts *)
-  let l2 =
-    Cr_checker.Paths.longest_within ~succ:dag ~mask:[| true; true; false |]
-  in
+  let l2 = longest [| true; true; false |] in
   check_int "stops at mask" 2 l2.(0);
   check "cyclic raises" true
     (try
-       ignore (Cr_checker.Paths.longest_within ~succ:g ~mask:(Array.make 6 true));
+       ignore (Cr_checker.Paths.longest_within ~succ:g ~mask:(Bs.full 6));
        false
      with Cr_checker.Paths.Cyclic -> true)
 
-(* properties: on random graphs, SCC component equality agrees with mutual
-   reachability, and bfs distance agrees with reconstructed path length. *)
+(* properties: on random graphs every kernel agrees with the naive
+   oracle of Graph_oracle, and the kernels agree with each other (SCC
+   classes = mutual reachability, BFS distance = reconstructed path
+   length). *)
 
 let gen_graph =
   QCheck2.Gen.(
@@ -157,18 +180,29 @@ let adj_of (n, edges) =
   List.iter (fun (i, j) -> if i <> j then a.(i) <- j :: a.(i)) edges;
   Array.map (fun l -> Array.of_list (List.sort_uniq compare l)) a
 
+(* A random graph plus a random mask over its states. *)
+let gen_masked_graph =
+  QCheck2.Gen.(
+    map
+      (fun (g, bits) ->
+        let adj = adj_of g in
+        let n = Array.length adj in
+        (adj, Array.init n (fun i -> i < Array.length bits && bits.(i))))
+      (pair gen_graph (array_size (int_bound 12) bool)))
+
 let prop_scc_mutual_reach =
   QCheck2.Test.make ~name:"same SCC iff mutually reachable" ~count:100 gen_graph
     (fun g ->
       let adj = adj_of g in
+      let csr = Csr.of_rows adj in
       let n = Array.length adj in
-      let t = Cr_checker.Scc.compute adj in
+      let t = Cr_checker.Scc.compute csr in
       let ok = ref true in
       for i = 0 to n - 1 do
-        let ri = Cr_checker.Reach.forward ~succ:adj ~seeds:[ i ] in
+        let ri = Cr_checker.Reach.forward ~succ:csr ~seeds:[ i ] in
         for j = 0 to n - 1 do
-          let rj = Cr_checker.Reach.forward ~succ:adj ~seeds:[ j ] in
-          let mutual = ri.(j) && rj.(i) in
+          let rj = Cr_checker.Reach.forward ~succ:csr ~seeds:[ j ] in
+          let mutual = Bs.get ri j && Bs.get rj i in
           let same = t.Cr_checker.Scc.component.(i) = t.Cr_checker.Scc.component.(j) in
           if mutual <> same then ok := false
         done
@@ -179,17 +213,26 @@ let prop_bfs_path_agree =
   QCheck2.Test.make ~name:"bfs distance = reconstructed path length" ~count:100
     gen_graph (fun g ->
       let adj = adj_of g in
+      let csr = Csr.of_rows adj in
       let n = Array.length adj in
-      let ok = ref true in
-      for src = 0 to n - 1 do
-        let d = Cr_checker.Paths.bfs_distances ~succ:adj ~src in
-        for dst = 0 to n - 1 do
-          match Cr_checker.Paths.shortest_path ~succ:adj ~src ~dst with
-          | Some p -> if List.length p - 1 <> d.(dst) then ok := false
-          | None -> if d.(dst) >= 0 then ok := false
-        done
-      done;
-      !ok)
+      let states = List.init n Fun.id in
+      let pairs =
+        List.concat_map
+          (fun src ->
+            List.filter_map
+              (fun dst -> if src <> dst then Some (src, dst) else None)
+              states)
+          states
+      in
+      let srcs = Array.of_list (List.map fst pairs) in
+      let dsts = Array.of_list (List.map snd pairs) in
+      let d = Cr_checker.Paths.shortest_nonempty_batch ~succ:csr ~srcs ~dsts in
+      List.for_all2
+        (fun (src, dst) d ->
+          match Cr_checker.Paths.shortest_path ~succ:csr ~src ~dst with
+          | Some p -> List.length p - 1 = d
+          | None -> d = -1)
+        pairs (Array.to_list d))
 
 (* A random batch over a random graph: up to 60 queries over at most 12
    nodes, so sources repeat, some destinations are unreachable, and
@@ -205,15 +248,11 @@ let prop_batch_eq_reference =
   QCheck2.Test.make ~name:"batched shortest_nonempty = row reference, jobs 1/2/4"
     ~count:100 gen_batch_case (fun (g, qs) ->
       let adj = adj_of g in
-      let succ = Cr_kernel.Csr.of_rows adj in
+      let succ = Csr.of_rows adj in
       let srcs = Array.of_list (List.map fst qs) in
       let dsts = Array.of_list (List.map snd qs) in
       let expected =
-        Array.map2
-          (fun src dst ->
-            Option.value ~default:(-1)
-              (Cr_checker.Paths.shortest_nonempty ~succ:adj ~src ~dst))
-          srcs dsts
+        Array.map2 (fun src dst -> (Graph_oracle.distances adj src).(dst)) srcs dsts
       in
       List.for_all
         (fun jobs ->
@@ -230,98 +269,98 @@ let prop_par_map_eq_seq =
       Cr_kernel.Par.map_array ~jobs (fun x -> x * x + 1) a
       = Array.map (fun x -> x * x + 1) a)
 
-(* ---- CSR kernels agree with the legacy array-of-rows kernels ---- *)
+(* ---- CSR kernels agree with the naive oracle ---- *)
 
-module Bs = Cr_kernel.Bitset
-
-let prop_csr_reach_agree =
-  QCheck2.Test.make ~name:"forward/backward_csr = forward/backward" ~count:200
+let prop_reach_oracle =
+  QCheck2.Test.make ~name:"forward/backward = edge-list fixpoint" ~count:200
     gen_graph (fun g ->
       let adj = adj_of g in
-      let csr = Cr_kernel.Csr.of_rows adj in
-      let n = Array.length adj in
-      let ok = ref true in
-      for s = 0 to n - 1 do
-        let f = Cr_checker.Reach.forward ~succ:adj ~seeds:[ s ] in
-        let fc = Cr_checker.Reach.forward_csr ~succ:csr ~seeds:[ s ] in
-        let b = Cr_checker.Reach.backward ~succ:adj ~seeds:[ s ] in
-        let bc = Cr_checker.Reach.backward_csr ~succ:csr ~seeds:[ s ] in
-        if Bs.to_bool_array fc <> f || Bs.to_bool_array bc <> b then ok := false
-      done;
-      !ok)
+      let csr = Csr.of_rows adj in
+      List.for_all
+        (fun s ->
+          Bs.to_bool_array (Cr_checker.Reach.forward ~succ:csr ~seeds:[ s ])
+          = Graph_oracle.forward adj [ s ]
+          && Bs.to_bool_array (Cr_checker.Reach.backward ~succ:csr ~seeds:[ s ])
+             = Graph_oracle.backward adj [ s ])
+        (List.init (Array.length adj) Fun.id))
 
-let prop_csr_scc_agree =
-  QCheck2.Test.make ~name:"Scc.compute_csr = Scc.compute" ~count:200 gen_graph
-    (fun g ->
+let prop_scc_oracle =
+  QCheck2.Test.make ~name:"Scc.compute = mutual reachability" ~count:200
+    gen_graph (fun g ->
       let adj = adj_of g in
-      let t = Cr_checker.Scc.compute adj in
-      let tc = Cr_checker.Scc.compute_csr (Cr_kernel.Csr.of_rows adj) in
-      t.Cr_checker.Scc.component = tc.Cr_checker.Scc.component
-      && t.Cr_checker.Scc.count = tc.Cr_checker.Scc.count
-      && t.Cr_checker.Scc.sizes = tc.Cr_checker.Scc.sizes)
+      let t = Cr_checker.Scc.compute (Csr.of_rows adj) in
+      let oracle = Array.to_list (Graph_oracle.scc adj) in
+      let size_of c = List.length (List.filter (( = ) c) oracle) in
+      let open Cr_checker.Scc in
+      Graph_oracle.same_partition t.component (Array.of_list oracle)
+      && t.count = List.length (List.sort_uniq compare oracle)
+      && List.for_all2
+           (fun c i -> t.sizes.(t.component.(i)) = size_of c)
+           oracle
+           (List.init (Array.length adj) Fun.id))
 
-let prop_csr_paths_agree =
-  QCheck2.Test.make
-    ~name:"bfs/shortest/longest CSR kernels = legacy kernels" ~count:100
-    QCheck2.Gen.(pair gen_graph (array_size (int_bound 12) bool))
-    (fun (g, mask_bits) ->
-      let adj = adj_of g in
-      let csr = Cr_kernel.Csr.of_rows adj in
+let prop_paths_oracle =
+  QCheck2.Test.make ~name:"shortest_path/longest_within = oracle" ~count:100
+    gen_masked_graph (fun (adj, mask) ->
+      let csr = Csr.of_rows adj in
       let n = Array.length adj in
+      let is_path src dst p =
+        let rec edges = function
+          | i :: (j :: _ as rest) -> Array.mem j adj.(i) && edges rest
+          | _ -> true
+        in
+        List.hd p = src && List.nth p (List.length p - 1) = dst && edges p
+      in
       let ok = ref true in
       for src = 0 to n - 1 do
-        if
-          Cr_checker.Paths.bfs_distances ~succ:adj ~src
-          <> Cr_checker.Paths.bfs_distances_csr ~succ:csr ~src
-        then ok := false;
+        let d = Graph_oracle.distances adj src in
         for dst = 0 to n - 1 do
-          if
-            Cr_checker.Paths.shortest_path ~succ:adj ~src ~dst
-            <> Cr_checker.Paths.shortest_path_csr ~succ:csr ~src ~dst
-          then ok := false
+          match Cr_checker.Paths.shortest_path ~succ:csr ~src ~dst with
+          | Some p ->
+              if not (is_path src dst p && List.length p - 1 = d.(dst)) then
+                ok := false
+          | None -> if d.(dst) >= 0 then ok := false
         done
       done;
-      let mask = Array.init n (fun i -> i < Array.length mask_bits && mask_bits.(i)) in
-      let legacy =
-        try Ok (Cr_checker.Paths.longest_within ~succ:adj ~mask)
-        with Cr_checker.Paths.Cyclic -> Error ()
-      in
-      let csr_r =
+      let got =
         try
-          Ok
-            (Cr_checker.Paths.longest_within_csr ~succ:csr
+          Some
+            (Cr_checker.Paths.longest_within ~succ:csr
                ~mask:(Bs.of_bool_array mask))
-        with Cr_checker.Paths.Cyclic -> Error ()
+        with Cr_checker.Paths.Cyclic -> None
       in
-      !ok && legacy = csr_r)
+      !ok && got = Graph_oracle.longest_within adj mask)
 
-let prop_csr_fair_agree =
-  QCheck2.Test.make ~name:"Fair.analyze_csr = Fair.analyze" ~count:200
-    QCheck2.Gen.(
-      triple gen_graph (array_size (int_bound 12) bool) (int_range 1 3))
-    (fun (g, mask_bits, num_actions) ->
-      let adj = adj_of g in
-      let n = Array.length adj in
-      let mask = Array.init n (fun i -> i < Array.length mask_bits && mask_bits.(i)) in
-      (* deterministic pseudo-random action tables drawn from the graph's
-         own edges, so admissibility is non-trivial *)
-      let tables =
-        Array.init num_actions (fun a ->
-            Array.init n (fun s ->
-                let row = adj.(s) in
-                let d = Array.length row in
-                if d = 0 || (s + a) mod 3 = 0 then -1
-                else row.((s * 7 + a) mod d)))
-      in
-      let legacy = Cr_core.Fair.analyze tables ~succ:adj ~mask in
-      let csr =
-        Cr_core.Fair.analyze_csr tables
-          ~succ:(Cr_kernel.Csr.of_rows adj)
+(* Deterministic pseudo-random action tables drawn from the graph's own
+   edges, so admissibility is non-trivial. *)
+let tables_of_adj adj num_actions =
+  Array.init num_actions (fun a ->
+      Array.init (Array.length adj) (fun s ->
+          let row = adj.(s) in
+          let d = Array.length row in
+          if d = 0 || (s + a) mod 3 = 0 then -1 else row.((s * 7 + a) mod d)))
+
+let prop_fair_oracle =
+  QCheck2.Test.make ~name:"Fair.analyze = per-SCC fairness oracle" ~count:200
+    QCheck2.Gen.(pair gen_masked_graph (int_range 1 3))
+    (fun ((adj, mask), num_actions) ->
+      let tables = tables_of_adj adj num_actions in
+      let a =
+        Cr_core.Fair.analyze tables ~succ:(Csr.of_rows adj)
           ~mask:(Bs.of_bool_array mask)
       in
-      legacy.Cr_core.Fair.component = csr.Cr_core.Fair.component
-      && legacy.Cr_core.Fair.fair = csr.Cr_core.Fair.fair
-      && legacy.Cr_core.Fair.sccs = csr.Cr_core.Fair.sccs)
+      let fair = Graph_oracle.fair_sccs tables adj mask in
+      (* unmasked states share the label -1 on both sides *)
+      let classes =
+        Array.mapi
+          (fun i c -> if mask.(i) then c else -1)
+          (Graph_oracle.scc (Graph_oracle.restrict adj mask))
+      in
+      List.sort compare a.Cr_core.Fair.sccs = List.sort compare fair
+      && a.Cr_core.Fair.fair
+         = Array.init (Array.length adj) (fun i -> List.exists (List.mem i) fair)
+      && Array.for_all2 (fun m c -> m = (c >= 0)) mask a.Cr_core.Fair.component
+      && Graph_oracle.same_partition a.Cr_core.Fair.component classes)
 
 (* ---- classify is byte-identical for CR_JOBS in {1, 2, 4} ---- *)
 
@@ -368,8 +407,8 @@ let prop_classify_jobs_invariant =
       && r1 = classify_with_jobs 4 ~alpha ~c ~a)
 
 (* Independent oracle: classify every edge directly — image equality,
-   then [Explicit.has_edge], then the row-reference BFS
-   [Paths.shortest_nonempty] — and tally the stats by hand. *)
+   then [Explicit.has_edge], then the Bellman-Ford distance of
+   [Graph_oracle] — and tally the stats by hand. *)
 let prop_classify_matches_oracle =
   QCheck2.Test.make ~name:"classify matches a per-edge reference oracle"
     ~count:100 gen_classify_case
@@ -386,15 +425,15 @@ let prop_classify_matches_oracle =
             else if Cr_semantics.Explicit.has_edge a ai aj then
               (Some Exact, { s with exact = s.exact + 1 })
             else
-              match Cr_checker.Paths.shortest_nonempty ~succ:a_rows ~src:ai ~dst:aj with
-              | Some len when len >= 2 ->
+              match (Graph_oracle.distances a_rows ai).(aj) with
+              | len when len >= 2 ->
                   ( Some (Compression len),
                     {
                       s with
                       compressions = s.compressions + 1;
                       max_dropped = max s.max_dropped (len - 1);
                     } )
-              | Some _ | None -> (None, s)
+              | _ -> (None, s)
           in
           stats := { s with edges = s.edges + 1 };
           expected := (i, j, cls) :: !expected);
@@ -446,10 +485,10 @@ let qcheck_cases =
       prop_bfs_path_agree;
       prop_batch_eq_reference;
       prop_par_map_eq_seq;
-      prop_csr_reach_agree;
-      prop_csr_scc_agree;
-      prop_csr_paths_agree;
-      prop_csr_fair_agree;
+      prop_reach_oracle;
+      prop_scc_oracle;
+      prop_paths_oracle;
+      prop_fair_oracle;
       prop_classify_jobs_invariant;
       prop_classify_matches_oracle;
     ]

@@ -4,13 +4,18 @@
 
 let check = Alcotest.(check bool)
 
+(* [Fair.analyze] over rows and a bool mask. *)
+let analyze tables succ mask =
+  Cr_core.Fair.analyze tables ~succ:(Cr_kernel.Csr.of_rows succ)
+    ~mask:(Cr_kernel.Bitset.of_bool_array mask)
+
 (* A two-state cycle 0 <-> 1 with action tables. *)
 let cycle_succ = [| [| 1 |]; [| 0 |] |]
 
 let test_plain_cycle_is_fair () =
   (* two actions, each enabled at one state and taken inside the cycle *)
   let tables = [| [| 1; -1 |]; [| -1; 0 |] |] in
-  let a = Cr_core.Fair.analyze tables ~succ:cycle_succ ~mask:[| true; true |] in
+  let a = analyze tables cycle_succ [| true; true |] in
   check "one fair SCC" true (List.length a.Cr_core.Fair.sccs = 1);
   check "states marked fair" true (a.Cr_core.Fair.fair.(0) && a.Cr_core.Fair.fair.(1));
   check "edge on fair cycle" true (Cr_core.Fair.edge_on_fair_cycle a 0 1)
@@ -26,10 +31,9 @@ let test_starved_exit_makes_cycle_unfair () =
       [| 2; 2; -1 |] (* exit: always enabled on the cycle, leaves it *);
     |]
   in
-  let a = Cr_core.Fair.analyze tables ~succ ~mask:[| true; true; false |] in
+  let a = analyze tables succ [| true; true; false |] in
   check "no fair SCC" true (a.Cr_core.Fair.sccs = []);
-  check "no fair divergence" false
-    (Cr_core.Fair.has_fair_divergence tables ~succ ~mask:[| true; true; false |])
+  check "no state marked fair" true (Array.for_all not a.Cr_core.Fair.fair)
 
 let test_intermittent_exit_keeps_cycle_fair () =
   (* exit enabled at only one of the two cycle states: the run is fair
@@ -38,7 +42,7 @@ let test_intermittent_exit_keeps_cycle_fair () =
   let tables =
     [| [| 1; -1; -1 |]; [| -1; 0; -1 |]; [| 2; -1; -1 |] |]
   in
-  let a = Cr_core.Fair.analyze tables ~succ ~mask:[| true; true; false |] in
+  let a = analyze tables succ [| true; true; false |] in
   check "cycle remains fair" true (List.length a.Cr_core.Fair.sccs = 1)
 
 let test_restricted_graph_edges_count () =
@@ -50,14 +54,14 @@ let test_restricted_graph_edges_count () =
      edges (0->0 impossible; say 0->1 via a1 as well) — make a1's move
      0 -> 1 which IS in the restricted graph, so it counts *)
   let tables = [| [| 1; 0 |]; [| 1; -1 |] |] in
-  let a = Cr_core.Fair.analyze tables ~succ:stutter_succ ~mask:[| true; true |] in
+  let a = analyze tables stutter_succ [| true; true |] in
   check "fair when the always-enabled action moves inside" true
     (List.length a.Cr_core.Fair.sccs = 1);
   (* now a1 points outside the analyzed graph (to state 2 of a bigger
      system): restricted graph stays 0 <-> 1 but a1 is never taken inside *)
   let succ3 = [| [| 1 |]; [| 0 |]; [||] |] in
   let tables3 = [| [| 1; 0; -1 |]; [| 2; 2; -1 |] |] in
-  let a3 = Cr_core.Fair.analyze tables3 ~succ:succ3 ~mask:[| true; true; false |] in
+  let a3 = analyze tables3 succ3 [| true; true; false |] in
   check "unfair when the always-enabled action always leaves" true
     (a3.Cr_core.Fair.sccs = [])
 
@@ -104,8 +108,8 @@ let prop_fair_implies_unfair =
         |> Array.of_list
       in
       let mask = Array.make n true in
-      let fair = Cr_core.Fair.has_fair_divergence tables ~succ ~mask in
-      let plain = not (Cr_checker.Scc.acyclic_within succ mask) in
+      let fair = (analyze tables succ mask).Cr_core.Fair.sccs <> [] in
+      let plain = Graph_oracle.has_cycle_within succ mask in
       (not fair) || plain)
 
 let () =

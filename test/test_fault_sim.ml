@@ -50,7 +50,7 @@ let test_adversarial_matches_checker () =
       (Array.init (Cr_semantics.Explicit.num_states e) (fun i ->
            not (one_token (Cr_semantics.Explicit.state e i))))
   in
-  let depth = Cr_checker.Paths.longest_within_csr ~succ ~mask in
+  let depth = Cr_checker.Paths.longest_within ~succ ~mask in
   let potential s = depth.(Cr_semantics.Explicit.find e s) in
   let daemon = Cr_sim.Daemon.adversarial ~name:"worst" ~potential in
   (* start from a state realizing the bound *)
@@ -76,7 +76,7 @@ let test_helpful_daemon_not_slower () =
       (Array.init (Cr_semantics.Explicit.num_states e) (fun i ->
            not (one_token (Cr_semantics.Explicit.state e i))))
   in
-  let depth = Cr_checker.Paths.longest_within_csr ~succ ~mask in
+  let depth = Cr_checker.Paths.longest_within ~succ ~mask in
   let potential s = depth.(Cr_semantics.Explicit.find e s) in
   let adv = Cr_sim.Daemon.adversarial ~name:"worst" ~potential in
   let help = Cr_sim.Daemon.helpful ~name:"best" ~potential in

@@ -166,7 +166,7 @@ let prop_closure =
           (* minimal: every member is reachable by an explicit path *)
           let e = Program.to_explicit p in
           let reach =
-            Cr_checker.Reach.forward_csr
+            Cr_checker.Reach.forward
               ~succ:(Cr_checker.Reach.of_explicit e)
               ~seeds:[ Cr_semantics.Explicit.find e seed ]
           in
